@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cc"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -64,8 +65,8 @@ func TestFeedbackMinLossClamp(t *testing.T) {
 	if err := eng.RunUntil(30 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Loss(); got != DefaultMinLoss {
-		t.Errorf("loss = %v, want clamp at %v", got, DefaultMinLoss)
+	if got := f.Loss(); got != cc.DefaultMinLoss {
+		t.Errorf("loss = %v, want clamp at %v", got, cc.DefaultMinLoss)
 	}
 }
 
@@ -78,8 +79,8 @@ func TestFeedbackIdleInterval(t *testing.T) {
 	if f.Epoch() != 3 {
 		t.Errorf("epoch = %d after 3 idle intervals, want 3", f.Epoch())
 	}
-	if got := f.Loss(); got != DefaultMinLoss {
-		t.Errorf("idle loss = %v, want %v", got, DefaultMinLoss)
+	if got := f.Loss(); got != cc.DefaultMinLoss {
+		t.Errorf("idle loss = %v, want %v", got, cc.DefaultMinLoss)
 	}
 }
 
@@ -111,7 +112,7 @@ func TestFeedbackEpochIncrements(t *testing.T) {
 
 func TestFeedbackConfiguredMinLossSurvives(t *testing.T) {
 	// Regression: the old guard `MinLoss <= 0` replaced every valid
-	// (negative) configured clamp with DefaultMinLoss.
+	// (negative) configured clamp with cc.DefaultMinLoss.
 	eng := sim.NewEngine(1)
 	cfg := feedbackConfig()
 	cfg.MinLoss = -1

@@ -9,6 +9,7 @@ package aqm
 import (
 	"time"
 
+	"repro/internal/cc"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -48,10 +49,6 @@ type FeedbackConfig struct {
 	GreenOnly bool
 }
 
-// DefaultMinLoss bounds p from below: with β=0.5 and p=−2, a source at
-// most doubles its rate per control interval.
-const DefaultMinLoss = -2.0
-
 // Feedback measures the aggregate PELS arrival rate R = S/T every interval,
 // computes packet loss p = (R−C)/R, increments the epoch number z, and
 // stamps (routerID, z, p) into passing packets (paper eq. 11 and §5.2).
@@ -88,7 +85,7 @@ func NewFeedback(eng *sim.Engine, cfg FeedbackConfig) *Feedback {
 	// mean the field was left at its zero value.
 	//pelsvet:allow floateq
 	if cfg.MinLoss == 0 {
-		cfg.MinLoss = DefaultMinLoss
+		cfg.MinLoss = cc.DefaultMinLoss
 	}
 	f := &Feedback{cfg: cfg, eng: eng, loss: cfg.MinLoss}
 	if cfg.Obs != nil {
@@ -123,16 +120,10 @@ func (f *Feedback) shouldStamp(p *packet.Packet) bool {
 	return f.cfg.StampBestEffort && p.Color == packet.BestEffort
 }
 
-// compute implements paper eq. (11): R = S/T, p = (R−C)/R, z = z+1, S = 0.
+// compute closes one measurement interval: p from eq. (11) over S bytes
+// in T, z = z+1, S = 0.
 func (f *Feedback) compute() {
-	rate := units.RateFromBytes(f.bytes, f.cfg.Interval)
-	loss := f.cfg.MinLoss
-	if rate > 0 {
-		loss = (float64(rate) - float64(f.cfg.Capacity)) / float64(rate)
-		if loss < f.cfg.MinLoss {
-			loss = f.cfg.MinLoss
-		}
-	}
+	rate, loss := cc.RouterLoss(f.bytes, f.cfg.Interval, f.cfg.Capacity, f.cfg.MinLoss)
 	f.loss = loss
 	f.epoch++
 	f.bytes = 0

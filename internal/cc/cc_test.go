@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/packet"
 	"repro/internal/units"
@@ -357,5 +358,25 @@ func TestAIMDPanicsOnBadConfig(t *testing.T) {
 			}()
 			NewAIMD(cfg)
 		}()
+	}
+}
+
+func TestRouterLoss(t *testing.T) {
+	c := 1 * units.Mbps
+	for _, tc := range []struct {
+		name  string
+		bytes int64
+		rate  units.BitRate
+		loss  float64
+	}{
+		{"idle window reports the floor", 0, 0, DefaultMinLoss},
+		{"overload", 250000, 2 * units.Mbps, 0.5},
+		{"spare capacity is negative loss", 62500, 500 * units.Kbps, -1},
+		{"clamped at the floor", 12500, 100 * units.Kbps, DefaultMinLoss},
+	} {
+		rate, loss := RouterLoss(tc.bytes, time.Second, c, DefaultMinLoss)
+		if math.Abs(float64(rate-tc.rate)) > 1e-6 || math.Abs(loss-tc.loss) > 1e-12 {
+			t.Errorf("%s: R=%v p=%v, want R=%v p=%v", tc.name, rate, loss, tc.rate, tc.loss)
+		}
 	}
 }

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/aqm"
@@ -15,6 +13,7 @@ import (
 	"repro/internal/fgs"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -245,10 +244,9 @@ type ChaosWireConfig struct {
 	// into the stream; 0 disables.
 	SwapAfter   time.Duration
 	NewRouterID int
-	// StaleTimeout/StaleDecay arm the sender watchdog; ProbeIdle arms
-	// receiver probing.
+	// StaleTimeout arms the sender watchdog; ProbeIdle arms receiver
+	// probing.
 	StaleTimeout time.Duration
-	StaleDecay   float64
 	ProbeIdle    time.Duration
 }
 
@@ -283,7 +281,6 @@ func DefaultChaosWireConfig() ChaosWireConfig {
 		SwapAfter:    2 * time.Second,
 		NewRouterID:  2,
 		StaleTimeout: 150 * time.Millisecond,
-		StaleDecay:   0.5,
 		ProbeIdle:    100 * time.Millisecond,
 	}
 }
@@ -292,7 +289,7 @@ func DefaultChaosWireConfig() ChaosWireConfig {
 type ChaosWireResult struct {
 	Config   ChaosWireConfig
 	Elapsed  time.Duration
-	Sender   wire.SenderStats
+	Sender   session.Stats
 	Receiver wire.ReceiverStats
 	Link     wire.LinkStats
 	Forward  fault.Stats
@@ -334,26 +331,6 @@ func ChaosWire(cfg ChaosWireConfig) (ChaosWireResult, error) {
 	})
 	defer emu.Close()
 
-	sender, err := wire.NewSender(emu.A(), nil, wire.SenderConfig{
-		Flow:          1,
-		Frame:         cfg.Frame,
-		FrameInterval: cfg.FrameInterval,
-		MKC:           cfg.MKC,
-		BurstBytes:    16 * cfg.Frame.PacketSize,
-		MaxFrames:     cfg.Frames,
-		Obs:           reg,
-		StaleTimeout:  cfg.StaleTimeout,
-		StaleDecay:    cfg.StaleDecay,
-	})
-	if err != nil {
-		return ChaosWireResult{}, err
-	}
-	recv := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
-		Flow:      1,
-		Obs:       reg,
-		ProbeIdle: cfg.ProbeIdle,
-	})
-
 	var swapTimer *time.Timer
 	if cfg.SwapAfter > 0 {
 		swapTimer = time.AfterFunc(cfg.SwapAfter, func() {
@@ -370,34 +347,29 @@ func ChaosWire(cfg ChaosWireConfig) (ChaosWireResult, error) {
 		defer swapTimer.Stop()
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); _ = recv.Run(ctx) }()
-	go func() { defer wg.Done(); _ = sender.ServeFeedback(ctx) }()
-
 	start := time.Now()
-	if err := sender.Run(ctx); err != nil {
-		cancel()
-		wg.Wait()
-		return ChaosWireResult{}, fmt.Errorf("chaos wire: sender: %w", err)
+	sender, recv, err := streamOne(emu, session.Config{
+		Frame:         cfg.Frame,
+		FrameInterval: cfg.FrameInterval,
+		MKC:           cfg.MKC,
+		BurstBytes:    16 * cfg.Frame.PacketSize,
+		MaxFrames:     cfg.Frames,
+		StaleTimeout:  cfg.StaleTimeout,
+	}, wire.ReceiverConfig{Flow: 1, Obs: reg, ProbeIdle: cfg.ProbeIdle}, cfg.Delay, reg)
+	if err != nil {
+		return ChaosWireResult{}, fmt.Errorf("chaos wire: %w", err)
 	}
-	time.Sleep(cfg.Delay + 100*time.Millisecond)
-	res := ChaosWireResult{
+	return ChaosWireResult{
 		Config:   cfg,
 		Elapsed:  time.Since(start),
-		Sender:   sender.Stats(),
-		Receiver: recv.Stats(),
+		Sender:   sender,
+		Receiver: recv,
 		Link:     emu.StatsAtoB(),
 		Forward:  fwdInj.Stats(),
 		Reverse:  revInj.Stats(),
+		Goodput:  recv.Goodput(),
 		Obs:      reg,
-	}
-	cancel()
-	wg.Wait()
-	res.Goodput = res.Receiver.Goodput()
-	return res, nil
+	}, nil
 }
 
 // Metrics flattens the result for pelsbench -json.

@@ -11,16 +11,18 @@ import (
 	"repro/internal/fgs"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/session"
 	"repro/internal/units"
 	"repro/internal/wire"
 )
 
 // WireLoopbackConfig parameterizes the live-stack loopback experiment:
-// a wire.Sender streaming through the in-process emulator (marking
-// gateway + priority-drop bottleneck) to a wire.Receiver echoing
-// feedback. Unlike every other experiment this one runs on the wall
-// clock — it exercises the real codec, pacer, and sockets-shaped I/O
-// path rather than the event-driven simulator.
+// a one-session session.Server streaming through the in-process emulator
+// (marking gateway + priority-drop bottleneck) to a wire.Receiver that
+// subscribes with a hello and echoes feedback. Unlike every other
+// experiment this one runs on the wall clock — it exercises the real
+// codec, pacer, and sockets-shaped I/O path rather than the event-driven
+// simulator.
 type WireLoopbackConfig struct {
 	// Capacity is the bottleneck bandwidth.
 	Capacity units.BitRate
@@ -72,14 +74,14 @@ type WireLoopbackResult struct {
 	// Elapsed is the wall-clock duration of the stream.
 	Elapsed time.Duration
 	// Sender and Receiver are the endpoint counters at the end.
-	Sender   wire.SenderStats
+	Sender   session.Stats
 	Receiver wire.ReceiverStats
 	// Link is the bottleneck's view.
 	Link wire.LinkStats
 	// Goodput is the delivered wire bitrate over the arrival interval.
 	Goodput units.BitRate
-	// Obs is the run's metric registry: gateway/sender/receiver counters
-	// and the sender's wall-clock rate and gamma series.
+	// Obs is the run's metric registry: gateway, server, and receiver
+	// counters.
 	Obs *obs.Registry
 }
 
@@ -105,47 +107,82 @@ func WireLoopback(cfg WireLoopbackConfig) (WireLoopbackResult, error) {
 	})
 	defer emu.Close()
 
-	sender, err := wire.NewSender(emu.A(), nil, wire.SenderConfig{
-		Flow:          1,
+	start := time.Now()
+	sender, recv, err := streamOne(emu, session.Config{
 		Frame:         cfg.Frame,
 		FrameInterval: cfg.FrameInterval,
 		MKC:           cfg.MKC,
 		BurstBytes:    16 * cfg.Frame.PacketSize,
 		MaxFrames:     cfg.Frames,
-		Obs:           reg,
-	})
+	}, wire.ReceiverConfig{Flow: 1, Obs: reg}, cfg.Delay, reg)
 	if err != nil {
-		return WireLoopbackResult{}, err
+		return WireLoopbackResult{}, fmt.Errorf("wire loopback: %w", err)
 	}
-	recv := wire.NewReceiver(emu.B(), wire.ReceiverConfig{Flow: 1, Obs: reg})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); _ = recv.Run(ctx) }()
-	go func() { defer wg.Done(); _ = sender.ServeFeedback(ctx) }()
-
-	start := time.Now()
-	if err := sender.Run(ctx); err != nil {
-		cancel()
-		wg.Wait()
-		return WireLoopbackResult{}, fmt.Errorf("wire loopback: sender: %w", err)
-	}
-	// Let the queue and delay line drain before the final snapshot.
-	time.Sleep(cfg.Delay + 100*time.Millisecond)
-	res := WireLoopbackResult{
+	return WireLoopbackResult{
 		Config:   cfg,
 		Elapsed:  time.Since(start),
-		Sender:   sender.Stats(),
-		Receiver: recv.Stats(),
+		Sender:   sender,
+		Receiver: recv,
 		Link:     emu.StatsAtoB(),
+		Goodput:  recv.Goodput(),
 		Obs:      reg,
+	}, nil
+}
+
+// streamOne streams one session from a session.Server on the emulator's
+// A side to a hello-subscribed wire.Receiver on its B side. It returns
+// once the session has sent its MaxFrames frames and the link (one-way
+// delay delay) has drained, with both endpoints' final counters. The
+// server defaults suit thousands of sessions; one stream is paced on a
+// tick finer than a small packet's transmission time and applies each
+// feedback label as it arrives, so the 10 ms control loop sees neither
+// 1 ms send bursts nor batching delay.
+func streamOne(emu *wire.Emulator, sess session.Config, rcfg wire.ReceiverConfig, delay time.Duration, reg *obs.Registry) (session.Stats, wire.ReceiverStats, error) {
+	srv, err := session.NewServer(session.ServerConfig{
+		Conn:         emu.A(),
+		Clock:        wire.SystemClock{},
+		Session:      sess,
+		Shards:       1,
+		MaxSessions:  1,
+		Workers:      1,
+		WheelTick:    250 * time.Microsecond,
+		BatchCount:   1,
+		ExitWhenIdle: true,
+		Obs:          reg,
+	})
+	if err != nil {
+		return session.Stats{}, wire.ReceiverStats{}, err
 	}
-	cancel()
-	wg.Wait()
-	res.Goodput = res.Receiver.Goodput()
-	return res, nil
+	rcfg.Peer = emu.A().LocalAddr()
+	rcfg.Hello = true
+	recv := wire.NewReceiver(emu.B(), rcfg)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	var wg sync.WaitGroup
+	defer func() { cancel(); wg.Wait() }()
+	wg.Add(1)
+	go func() { defer wg.Done(); _ = recv.Run(ctx) }()
+	srvErr := make(chan error, 1)
+	go func() { srvErr <- srv.Run(ctx) }()
+
+	// The server drops the session from its table when it completes, so
+	// hold on to it from admission on for the final counters.
+	key := session.Key{Addr: emu.B().LocalAddr().String(), Flow: rcfg.Flow}
+	var st *session.Session
+	for st == nil {
+		select {
+		case err := <-srvErr:
+			return session.Stats{}, wire.ReceiverStats{}, fmt.Errorf("server exited before admitting the receiver: %v", err)
+		case <-time.After(time.Millisecond):
+			st = srv.Table().Get(key)
+		}
+	}
+	if err := <-srvErr; err != nil {
+		return session.Stats{}, wire.ReceiverStats{}, fmt.Errorf("server: %w", err)
+	}
+	// Let the queue and delay line drain before the final snapshot.
+	time.Sleep(delay + 100*time.Millisecond)
+	return st.Stats(), recv.Stats(), nil
 }
 
 // Metrics flattens the result into the named scalars surfaced through

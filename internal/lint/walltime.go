@@ -29,6 +29,10 @@ var deterministicPkgs = map[string]bool{
 	"stats":        true,
 	"obs":          true,
 	"fault":        true,
+	// stream is the sender core both the simulator and the live server
+	// drive: it never reads a clock, so one feedback trace replays the
+	// same rate and γ trajectory under either.
+	"stream": true,
 	// session is walltime-clean by construction: every instant arrives as
 	// an argument or through an injected Clock (wire.SystemClock in
 	// production), so the wheel/table/batcher core is testable on a

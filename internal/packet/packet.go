@@ -114,7 +114,7 @@ func (c Color) IsPELS() bool {
 // IsWireBand reports whether the color is one of the three on-wire PELS
 // bands. The 60-byte wire codec carries exactly the paper's three colors;
 // extended layers exist only inside the simulator and are mapped onto
-// bands at the wire boundary (wire.SenderConfig.LayerBands).
+// bands at the wire boundary (stream.Core.Band).
 func (c Color) IsWireBand() bool { return c == Green || c == Yellow || c == Red }
 
 // Feedback is the congestion feedback label (router ID, epoch z, packet

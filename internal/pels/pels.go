@@ -19,7 +19,7 @@ import (
 	"repro/internal/fgs"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/packet"
+	"repro/internal/stream"
 	"repro/internal/units"
 )
 
@@ -157,24 +157,30 @@ func (c Config) WithDefaults() Config {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	c = c.WithDefaults()
-	if err := c.Frame.Validate(); err != nil {
-		return err
-	}
-	if err := c.Gamma.Validate(); err != nil {
-		return err
-	}
 	if c.Mode != ModePELS && c.Mode != ModeBestEffort {
 		return fmt.Errorf("pels: unknown mode %d", int(c.Mode))
 	}
-	if c.Layers != 0 && (c.Layers < 2 || c.Layers > packet.MaxLayers) {
-		return fmt.Errorf("pels: layers must be 0 (classic) or in [2,%d], got %d", packet.MaxLayers, c.Layers)
-	}
-	return nil
+	return c.stream().Validate()
 }
 
 // Layered reports whether the configuration uses the generalized N-layer
 // plan path rather than the classic 3-color PlanShare path.
-func (c Config) Layered() bool { return c.Layers != 0 && c.Layers != 3 }
+func (c Config) Layered() bool { return c.stream().Layered() }
+
+// stream returns the sender-core half of the configuration. The
+// simulator runs the core without a watchdog or rate floor, so frames are
+// planned at exactly the controller's rate.
+func (c Config) stream() stream.Config {
+	return stream.Config{
+		Frame:         c.Frame,
+		FrameInterval: c.FrameInterval,
+		Gamma:         c.Gamma,
+		RedShare:      c.RedShare,
+		Layers:        c.Layers,
+		Scaler:        c.Scaler,
+		BestEffort:    c.Mode == ModeBestEffort,
+	}
+}
 
 // SentFrame records what the source transmitted for one frame. Classic
 // 3-color sessions fill Plan; layered sessions (Config.Layered) fill

@@ -8,15 +8,17 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/stream"
 	"repro/internal/units"
 )
 
-// Source is the sending side of a streaming session. At each frame
-// boundary it asks the congestion controller for the current rate, sizes
-// the frame's byte budget x_i = r·interval, and partitions it with the γ
-// controller (paper Fig. 4 right); packets are then paced continuously at
-// the controller's rate. ACKs from the sink deliver router feedback to the
-// controller and the γ loop.
+// Source is the sending side of a streaming session: the simulator
+// driver of the shared sender core (internal/stream). At each frame
+// boundary the core sizes the frame's byte budget x_i = r·interval from
+// the congestion controller's rate and partitions it with the γ
+// controller (paper Fig. 4 right); the source paces the packets onto the
+// network at the controller's rate on the event clock. ACKs from the sink
+// deliver router feedback to the core.
 type Source struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -24,31 +26,20 @@ type Source struct {
 	host *netsim.Host
 	dst  int
 
-	ctrl       cc.Controller
-	gamma      *fgs.Gamma
-	packetizer *fgs.Packetizer
+	core *stream.Core
 
-	frame   int
-	sent    []SentFrame
-	plan    fgs.PacketPlan
+	frame   int // next frame number to plan
+	cur     int // frame number of the current plan
+	total   int // packets in the current plan
 	nextIdx int
+	layered bool
+	sent    []SentFrame
 	emitEv  *sim.Event
 	started bool
 	stopped bool
 
-	// Layered (N≠3) sessions plan with the γ ladder instead of PlanShare;
-	// layerPlan replaces plan and gammas is the per-frame ladder scratch.
-	layered   bool
-	layerPlan fgs.LayerPlan
-	gammas    []float64
-
 	pktsSent  int64
 	bytesSent int64
-
-	// Feedback-discontinuity tracking: lastRouter is the router of the
-	// most recently applied label; a change resets γ (see HandlePacket).
-	lastRouter int
-	haveRouter bool
 }
 
 var _ netsim.App = (*Source)(nil)
@@ -70,28 +61,18 @@ func NewSource(net *netsim.Network, host *netsim.Host, dst int, cfg Config) (*So
 	if ctrl == nil {
 		ctrl = cc.NewMKC(cfg.MKC)
 	}
-	gamma, err := fgs.NewGamma(cfg.Gamma)
-	if err != nil {
-		return nil, err
-	}
-	pk, err := fgs.NewPacketizer(cfg.Frame)
+	core, err := stream.New(cfg.stream(), ctrl, time.Time{})
 	if err != nil {
 		return nil, err
 	}
 	s := &Source{
-		cfg:        cfg,
-		eng:        net.Engine(),
-		net:        net,
-		host:       host,
-		dst:        dst,
-		ctrl:       ctrl,
-		gamma:      gamma,
-		packetizer: pk,
-	}
-	if cfg.Layered() {
-		s.layered = true
-		s.layerPlan = fgs.LayerPlan{Counts: make([]int, cfg.Layers)}
-		s.gammas = make([]float64, cfg.Layers-1)
+		cfg:     cfg,
+		eng:     net.Engine(),
+		net:     net,
+		host:    host,
+		dst:     dst,
+		core:    core,
+		layered: cfg.Layered(),
 	}
 	host.Attach(cfg.Flow, s)
 	return s, nil
@@ -119,59 +100,27 @@ func (s *Source) Stop() {
 	}
 }
 
-// planFrame sizes the next video frame with the controller's current rate:
-// x_i = r(k) · frame interval, partitioned by the current γ (paper §4.2).
-// The frame is a data unit, not a time gate — the source streams packets
-// continuously and starts the next frame as soon as the current one is
-// fully transmitted, exactly like a streaming server whose rate-scaling
-// module picks x_i at each frame boundary. At a steady rate a frame takes
-// exactly one frame interval on the wire.
+// planFrame plans the next video frame at the controller's current rate
+// and γ (paper §4.2) and records it. The frame is a data unit, not a time
+// gate — the source streams packets continuously and starts the next
+// frame as soon as the current one is fully transmitted, exactly like a
+// streaming server whose rate-scaling module picks x_i at each frame
+// boundary. At a steady rate a frame takes exactly one frame interval on
+// the wire.
 func (s *Source) planFrame() {
-	rate := s.ctrl.Rate()
-	budget := s.cfg.Scaler.Budget(s.frame, rate, s.cfg.FrameInterval)
-	gamma := 0.0
-	if s.cfg.Mode == ModePELS {
-		gamma = s.gamma.Value()
-	}
-	rec := SentFrame{Frame: s.frame, Rate: rate, SentAt: s.eng.Now()}
+	rec := SentFrame{Frame: s.frame, Rate: s.core.EffectiveRate(), SentAt: s.eng.Now()}
+	s.total = s.core.PlanFrame(s.frame)
 	if s.layered {
-		fgs.Ladder(s.gammas, gamma)
-		s.layerPlan.Frame = s.frame
-		s.packetizer.PlanLayersInto(s.layerPlan.Counts, s.frame, budget, s.gammas, s.cfg.RedShare)
-		counts := make([]int, len(s.layerPlan.Counts))
-		copy(counts, s.layerPlan.Counts)
+		counts := make([]int, s.core.Layers())
+		copy(counts, s.core.LayerPlan().Counts)
 		rec.LayerPlan = fgs.LayerPlan{Frame: s.frame, Counts: counts}
 	} else {
-		s.plan = s.packetizer.PlanShare(s.frame, budget, gamma, s.cfg.RedShare)
-		rec.Plan = s.plan
+		rec.Plan = s.core.Plan()
 	}
+	s.cur = s.frame
 	s.nextIdx = 0
 	s.sent = append(s.sent, rec)
 	s.frame++
-}
-
-// planTotal returns the packet count of the current frame plan.
-func (s *Source) planTotal() int {
-	if s.layered {
-		return s.layerPlan.Total()
-	}
-	return s.plan.Total()
-}
-
-// planColor returns the color of packet index in the current frame plan.
-func (s *Source) planColor(index int) packet.Color {
-	if s.layered {
-		return s.layerPlan.Color(index)
-	}
-	return s.plan.Color(index)
-}
-
-// planFrameNo returns the frame number of the current plan.
-func (s *Source) planFrameNo() int {
-	if s.layered {
-		return s.layerPlan.Frame
-	}
-	return s.plan.Frame
 }
 
 // emitNext sends the next packet of the stream and schedules the following
@@ -183,9 +132,9 @@ func (s *Source) emitNext() {
 	if s.stopped {
 		return
 	}
-	if s.nextIdx >= s.planTotal() {
+	if s.nextIdx >= s.total {
 		s.planFrame()
-		if s.planTotal() == 0 {
+		if s.total == 0 {
 			// Degenerate spec (no packets to send); try again next frame
 			// interval rather than spinning.
 			s.emitEv = s.eng.Schedule(s.cfg.FrameInterval, s.emitNext)
@@ -194,62 +143,47 @@ func (s *Source) emitNext() {
 	}
 	index := s.nextIdx
 	s.nextIdx++
-	color := s.planColor(index)
+	color := s.core.Color(index)
 	if s.cfg.Mode == ModeBestEffort && color != packet.Green {
 		color = packet.BestEffort
 	}
 	p := s.net.NewPacket(s.cfg.Flow, s.dst, s.cfg.Frame.PacketSize, color)
-	p.Frame = s.planFrameNo()
+	p.Frame = s.cur
 	p.Index = index
 	s.pktsSent++
 	s.bytesSent += int64(p.Size)
 	s.host.Send(p)
 
-	spacing := s.ctrl.Rate().TransmissionTime(s.cfg.Frame.PacketSize)
+	spacing := s.core.Rate().TransmissionTime(s.cfg.Frame.PacketSize)
 	s.emitEv = s.eng.Schedule(spacing, s.emitNext)
 }
 
 // HandlePacket implements netsim.App: ACKs carry router feedback back to
 // the source, driving both the rate controller and the γ loop.
 func (s *Source) HandlePacket(p *packet.Packet) {
-	if p.Color != packet.ACK || !p.AckedFeedback.Valid {
+	if p.Color != packet.ACK {
 		return
 	}
-	if !s.ctrl.OnFeedback(p.AckedFeedback) {
-		return // stale epoch: already reacted to this feedback
-	}
 	now := s.eng.Now()
+	if !s.core.OnFeedback(p.AckedFeedback, time.Time{}.Add(now)) {
+		return // invalid, or a stale epoch: already reacted to this feedback
+	}
 	if s.cfg.RateSeries != nil {
-		s.cfg.RateSeries.Add(now, s.ctrl.Rate().KbpsValue())
+		s.cfg.RateSeries.Add(now, s.core.Rate().KbpsValue())
 	}
-	if s.cfg.Mode == ModePELS {
-		var g float64
-		if s.haveRouter && p.AckedFeedback.RouterID != s.lastRouter {
-			// Feedback discontinuity (route change or gateway swap): the
-			// loss history γ integrated belongs to a queue the flow no
-			// longer traverses. Restart the red fraction instead of
-			// stepping it with a cross-router delta.
-			s.gamma.Reset()
-			g = s.gamma.Value()
-		} else {
-			g = s.gamma.Update(p.AckedFeedback.Loss)
-		}
-		if s.cfg.GammaSeries != nil {
-			s.cfg.GammaSeries.Add(now, g)
-		}
+	if s.cfg.GammaSeries != nil && s.cfg.Mode == ModePELS {
+		s.cfg.GammaSeries.Add(now, s.core.Gamma())
 	}
-	s.lastRouter = p.AckedFeedback.RouterID
-	s.haveRouter = true
 }
 
 // Rate returns the controller's current sending rate.
-func (s *Source) Rate() units.BitRate { return s.ctrl.Rate() }
+func (s *Source) Rate() units.BitRate { return s.core.Rate() }
 
 // Gamma returns the current red fraction γ.
-func (s *Source) Gamma() float64 { return s.gamma.Value() }
+func (s *Source) Gamma() float64 { return s.core.Gamma() }
 
 // Controller exposes the congestion controller for inspection.
-func (s *Source) Controller() cc.Controller { return s.ctrl }
+func (s *Source) Controller() cc.Controller { return s.core.Controller() }
 
 // SentFrames returns the per-frame transmission records. The slice is
 // owned by the source; callers must not mutate it.

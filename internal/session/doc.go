@@ -7,18 +7,18 @@
 //   - Wheel is a hashed timing wheel. Every session schedules its next
 //     send on it, so the number of pacing goroutines is a property of the
 //     server (one driver plus a small worker pool), not of the session
-//     count — the goroutine-per-sender pacing of wire.Sender does not
-//     survive into the thousands-of-streams regime.
+//     count — goroutine-per-sender pacing does not survive into the
+//     thousands-of-streams regime.
 //   - Table is the sharded session table, keyed by (peer address, flow
 //     ID) with a lock and an obs registry per shard, so hello admission,
 //     feedback dispatch, and reaping contend only within a shard.
 //   - Batcher coalesces decoded feedback datagrams with a count+maxWait
 //     policy: a burst of echoes is demuxed once and applied as a batch,
 //     without per-packet goroutine wakeups.
-//   - Session is one receiver's stream: its own MKC rate controller, γ
-//     controller, packetizer, and token bucket — the same control loops
-//     wire.Sender closes, re-shaped from a blocking Run loop into a pump
-//     state machine the wheel can drive.
+//   - Session is one receiver's stream: the live driver of the shared
+//     sender core (internal/stream, the same MKC and γ loops the
+//     simulator's pels.Source drives) plus a token bucket, shaped as a
+//     pump state machine the wheel can drive.
 //   - Server owns the socket pair (raw reads, shaped writes), the demux
 //     loop, the wheel driver, the workers, and the session lifecycle:
 //     hello → streaming → drain or idle-timeout reap → closed.

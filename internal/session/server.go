@@ -145,6 +145,9 @@ type ServerStats struct {
 	Load      float64
 	Sheds     uint64
 	Restores  uint64
+	// WriteErrors counts datagrams — data, Reject, and Close — that the
+	// socket or shaped writer refused.
+	WriteErrors uint64
 }
 
 // demuxPoll bounds the demux read timeout so context cancellation and
@@ -217,6 +220,9 @@ type Server struct {
 	obsSheds       *obs.Counter
 	obsRestores    *obs.Counter
 	obsCtlSent     *obs.Counter
+	// writeErrors is never nil: session.write_errors when the server
+	// has a registry, a standalone counter otherwise.
+	writeErrors *obs.Counter
 }
 
 // NewServer validates cfg and builds a server (nothing runs until Run).
@@ -239,10 +245,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		batcher: NewBatcher(cfg.BatchCount, cfg.BatchWait),
 		// Every live session has at most one queued job (its single
 		// wheel timer), so this capacity makes job enqueue non-blocking.
-		jobs:   make(chan *Session, cfg.MaxSessions+cfg.Workers+1),
-		kick:   make(chan struct{}, 1),
-		idleCh: make(chan struct{}),
-		ctlBuf: make([]byte, 0, wire.HeaderSize),
+		jobs:        make(chan *Session, cfg.MaxSessions+cfg.Workers+1),
+		kick:        make(chan struct{}, 1),
+		idleCh:      make(chan struct{}),
+		ctlBuf:      make([]byte, 0, wire.HeaderSize),
+		writeErrors: &obs.Counter{},
 	}
 	if cfg.Overload.Enabled() {
 		layers := cfg.Session.Layers
@@ -270,6 +277,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.obsSheds = cfg.Obs.Counter("session.sheds")
 		s.obsRestores = cfg.Obs.Counter("session.restores")
 		s.obsCtlSent = cfg.Obs.Counter("session.control_sent")
+		s.writeErrors = cfg.Obs.Counter("session.write_errors")
 		cfg.Obs.GaugeFunc("session.active", func() float64 { return float64(s.table.Len()) })
 		cfg.Obs.GaugeFunc("session.wheel_timers", func() float64 { return float64(s.wheel.Len()) })
 		cfg.Obs.GaugeFunc("session.jobs_depth", func() float64 { return float64(len(s.jobs)) })
@@ -306,6 +314,7 @@ func (s *Server) Stats() ServerStats {
 		Load:            math.Float64frombits(s.loadBits.Load()),
 		Sheds:           s.sheds.Load(),
 		Restores:        s.restores.Load(),
+		WriteErrors:     uint64(s.writeErrors.Value()),
 	}
 	if s.obsDatagrams != nil {
 		st.Datagrams = uint64(s.obsDatagrams.Value())
@@ -495,7 +504,7 @@ func (s *Server) admit(from net.Addr, flow uint32, now time.Time) {
 		s.reject(key, from, wire.ReasonBadConfig, now)
 		return
 	}
-	sess.instrument(s.obsDatagrams, s.obsBytes, s.obsShed)
+	sess.instrument(s.obsDatagrams, s.obsBytes, s.obsShed, s.writeErrors)
 	sess.setShedLevel(&s.shedLvl)
 	if !s.table.Put(key, sess) {
 		// A concurrent hello for the same key won the race and its
@@ -566,7 +575,10 @@ func (s *Server) sendControl(t wire.Type, flow uint32, reason wire.Reason, retry
 		return // unreachable: ControlHeader is valid by construction
 	}
 	s.ctlBuf = b
-	_, _ = s.cfg.Conn.WriteTo(b, to)
+	if _, err := s.cfg.Conn.WriteTo(b, to); err != nil {
+		s.writeErrors.Inc()
+		return
+	}
 	if s.obsCtlSent != nil {
 		s.obsCtlSent.Inc()
 	}

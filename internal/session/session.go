@@ -11,13 +11,13 @@ import (
 	"repro/internal/fgs"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/stream"
 	"repro/internal/units"
 	"repro/internal/wire"
 )
 
-// Config parameterizes one session's control loops — the same knobs
-// wire.SenderConfig exposes, minus the transport and clock (the server
-// owns those, shared across sessions).
+// Config parameterizes one session's control loops; the server owns the
+// transport and clock, shared across sessions.
 type Config struct {
 	// Frame is the FGS packetization; PacketSize is the on-wire datagram
 	// size and must exceed the wire header size.
@@ -32,28 +32,21 @@ type Config struct {
 	Gamma fgs.GammaConfig
 	// RedShare selects the γ denominator; 0 means fgs.RedShareTotal.
 	RedShare fgs.RedShare
-	// Layers selects the number of priority layers per frame (see
-	// wire.SenderConfig.Layers): 0 and 3 keep the classic
-	// green/yellow/red plan, other counts plan with the default γ ladder
-	// and map layers onto the three wire bands via LayerBands.
+	// Layers selects the number of priority layers per frame: 0 and 3
+	// keep the classic green/yellow/red plan, other counts plan with the
+	// default γ ladder. The wire carries three bands, so the base layer
+	// travels green, the top layer red, and every layer between yellow.
 	Layers int
-	// LayerBands maps each priority layer to its on-wire band; nil
-	// selects wire.DefaultLayerBands(Layers). Ignored for classic
-	// sessions.
-	LayerBands []packet.Color
-	// NewScaler builds the per-session frame scaler (scalers are
-	// stateful, so sessions cannot share one); nil means ConstantScaler.
-	NewScaler func() fgs.Scaler
 	// BurstBytes is the token-bucket size; 0 means 8 datagrams.
 	BurstBytes int
 	// MaxFrames stops the session after that many frames; 0 streams
 	// until drained or reaped.
 	MaxFrames int
-	// StaleTimeout arms the per-session stale-feedback watchdog (see
-	// wire.SenderConfig.StaleTimeout). 0 disables it.
+	// StaleTimeout arms the per-session stale-feedback watchdog: each
+	// horizon without fresh feedback halves the effective rate, never
+	// below the MKC minimum rate, and the first fresh label restores it.
+	// 0 disables it.
 	StaleTimeout time.Duration
-	// StaleDecay is the per-horizon decay factor in (0,1); 0 selects 0.5.
-	StaleDecay float64
 }
 
 // WithDefaults fills zero-valued fields.
@@ -76,22 +69,12 @@ func (c Config) WithDefaults() Config {
 	if c.BurstBytes <= 0 {
 		c.BurstBytes = 8 * c.Frame.PacketSize
 	}
-	if c.StaleDecay == 0 {
-		c.StaleDecay = 0.5
-	}
-	if c.Layered() && c.LayerBands == nil {
-		c.LayerBands = wire.DefaultLayerBands(c.Layers)
-	}
 	return c
 }
 
-// Layered reports whether the configuration uses the generalized N-layer
-// plan path rather than the classic 3-color one.
-func (c Config) Layered() bool { return c.Layers != 0 && c.Layers != 3 }
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if err := c.Frame.Validate(); err != nil {
+	if err := c.stream().Validate(); err != nil {
 		return err
 	}
 	if c.Frame.PacketSize <= wire.HeaderSize {
@@ -102,23 +85,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("session: packet size %d exceeds max datagram %d",
 			c.Frame.PacketSize, wire.MaxDatagram)
 	}
-	if c.StaleDecay < 0 || c.StaleDecay >= 1 {
-		return fmt.Errorf("session: stale decay %v must be in (0,1)", c.StaleDecay)
-	}
-	if c.Layers != 0 && (c.Layers < 2 || c.Layers > packet.MaxLayers) {
-		return fmt.Errorf("session: layers must be 0 (classic) or in [2,%d], got %d", packet.MaxLayers, c.Layers)
-	}
-	if c.Layered() && c.LayerBands != nil {
-		if len(c.LayerBands) != c.Layers {
-			return fmt.Errorf("session: layer band table has %d entries for %d layers", len(c.LayerBands), c.Layers)
-		}
-		for i, b := range c.LayerBands {
-			if !b.IsWireBand() {
-				return fmt.Errorf("session: layer %d mapped to non-band color %v", i, b)
-			}
-		}
-	}
 	return nil
+}
+
+// stream returns the sender-core half of the configuration.
+func (c Config) stream() stream.Config {
+	return stream.Config{
+		Frame:         c.Frame,
+		FrameInterval: c.FrameInterval,
+		Gamma:         c.Gamma,
+		RedShare:      c.RedShare,
+		Layers:        c.Layers,
+		StaleTimeout:  c.StaleTimeout,
+		MinRate:       c.MKC.MinRate,
+	}
 }
 
 // State is a session's lifecycle position.
@@ -149,37 +129,28 @@ func (s State) String() string {
 
 // Stats is a snapshot of one session's counters and control state.
 type Stats struct {
-	Key              Key
-	State            State
-	Frames           int
-	Datagrams        uint64
-	Bytes            uint64
-	FeedbackAccepted uint64
-	Rate             units.BitRate
-	Gamma            float64
-	LastLoss         float64
-	StaleDecays      uint64
-	Recoveries       uint64
-	RouterChanges    uint64
-	Degrade          float64
+	stream.Stats
+	Key       Key
+	State     State
+	Frames    int
+	Datagrams uint64
+	Bytes     uint64
 	// Shed counts planned datagrams dropped at the source by the
 	// server-wide overload controller instead of being sent.
 	Shed uint64
+	// WriteErrors counts datagrams the output writer refused.
+	WriteErrors uint64
 	// CloseReason records why a closed session ended (none while live).
 	CloseReason wire.Reason
 }
 
-// minDegrade mirrors wire.Sender's watchdog floor: ten halvings is far
-// below any useful video rate, and the MKC minimum floors the effective
-// rate anyway.
-const minDegrade = 1.0 / 1024
-
-// Session is one receiver's PELS stream: its own MKC controller, γ
-// controller, packetizer, per-color sequence spaces, and token bucket,
-// sharing the server's socket and bottleneck with every other session.
+// Session is one receiver's PELS stream: the live driver of the shared
+// sender core (internal/stream), which owns the MKC and γ controllers,
+// the frame plans, and the per-band sequence spaces. The session adds the
+// token bucket, the wire encoding, and the lifecycle, sharing the
+// server's socket and bottleneck with every other session.
 //
-// Unlike wire.Sender — a blocking Run loop owning a goroutine — a
-// Session is a pump state machine: the wheel fires it, pump sends
+// A Session is a pump state machine: the wheel fires it, pump sends
 // whatever the token bucket allows at that instant, and returns the next
 // deadline to arm. One session is pumped by at most one worker at a time
 // (it has exactly one wheel timer), but feedback dispatch and stats run
@@ -194,88 +165,55 @@ type Session struct {
 
 	mu      sync.Mutex
 	state   State
-	ctrl    cc.Controller
-	gamma   *fgs.Gamma
-	pk      *fgs.Packetizer
-	scaler  fgs.Scaler
+	core    *stream.Core
 	pacer   *wire.Pacer
-	seq     map[packet.Color]uint64
 	stats   Stats
 	buf     []byte // encoded datagram scratch; reused across pumps
 	payload []byte
 
-	frame    int            //pelsvet:guards mu — next frame number to plan
-	plan     fgs.PacketPlan //pelsvet:guards mu
-	planIdx  int            //pelsvet:guards mu
-	reserved bool           //pelsvet:guards mu — buf holds an encoded, pacer-charged datagram
-
-	// Layered (N≠3) sessions plan with the γ ladder and map each layer
-	// onto a wire band (cfg.LayerBands).
-	layered   bool
-	layerPlan fgs.LayerPlan //pelsvet:guards mu
-	gammas    []float64     //pelsvet:guards mu
+	frame     int  //pelsvet:guards mu — next frame number to plan
+	planTotal int  //pelsvet:guards mu — packets in the current frame plan
+	planIdx   int  //pelsvet:guards mu
+	reserved  bool //pelsvet:guards mu — buf holds an encoded, pacer-charged datagram
 
 	// Shared aggregate counters (one set per server, not per session);
 	// nil when the server runs without a registry.
-	aggDatagrams *obs.Counter
-	aggBytes     *obs.Counter
-	aggShed      *obs.Counter
+	aggDatagrams   *obs.Counter
+	aggBytes       *obs.Counter
+	aggShed        *obs.Counter
+	aggWriteErrors *obs.Counter
 
 	// shedLevel points at the server-wide overload level (write-once
 	// before the session is pumped, read atomically per pump); nil means
 	// no overload controller.
 	shedLevel *atomic.Int32
 
-	degrade        float64     //pelsvet:guards mu
-	lastFeedbackAt time.Time   //pelsvet:guards mu
-	lastDecayAt    time.Time   //pelsvet:guards mu
-	lastActivity   time.Time   //pelsvet:guards mu
-	lastSendAt     time.Time   //pelsvet:guards mu — stuck watchdog: last datagram on the wire
-	lastRouterID   int         //pelsvet:guards mu
-	haveRouter     bool        //pelsvet:guards mu
-	closeReason    wire.Reason //pelsvet:guards mu — why the session closed
-	frameGateAt    time.Time   //pelsvet:guards mu — earliest next frame start, enforced while shedding
+	lastActivity time.Time   //pelsvet:guards mu
+	lastSendAt   time.Time   //pelsvet:guards mu — stuck watchdog: last datagram on the wire
+	closeReason  wire.Reason //pelsvet:guards mu — why the session closed
+	frameGateAt  time.Time   //pelsvet:guards mu — earliest next frame start, enforced while shedding
 }
 
 // NewSession builds a session streaming to peer through out, with its
 // clocks anchored at now. cfg must already be defaulted and validated
 // (the server does both once per template, not per hello).
 func NewSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, now time.Time) (*Session, error) {
-	gamma, err := fgs.NewGamma(cfg.Gamma)
+	core, err := stream.New(cfg.stream(), cc.NewMKC(cfg.MKC), now)
 	if err != nil {
 		return nil, err
-	}
-	pk, err := fgs.NewPacketizer(cfg.Frame)
-	if err != nil {
-		return nil, err
-	}
-	var scaler fgs.Scaler = fgs.ConstantScaler{}
-	if cfg.NewScaler != nil {
-		scaler = cfg.NewScaler()
 	}
 	s := &Session{
-		key:            key,
-		peer:           peer,
-		cfg:            cfg,
-		out:            out,
-		state:          StateStreaming,
-		ctrl:           cc.NewMKC(cfg.MKC),
-		gamma:          gamma,
-		pk:             pk,
-		scaler:         scaler,
-		pacer:          wire.NewPacer(cfg.MKC.InitialRate, cfg.BurstBytes),
-		seq:            map[packet.Color]uint64{},
-		buf:            make([]byte, 0, cfg.Frame.PacketSize),
-		payload:        make([]byte, cfg.Frame.PacketSize-wire.HeaderSize),
-		degrade:        1,
-		lastFeedbackAt: now,
-		lastActivity:   now,
-		lastSendAt:     now,
-	}
-	if cfg.Layered() {
-		s.layered = true
-		s.layerPlan = fgs.LayerPlan{Counts: make([]int, cfg.Layers)}
-		s.gammas = make([]float64, cfg.Layers-1)
+		key:          key,
+		peer:         peer,
+		cfg:          cfg,
+		out:          out,
+		state:        StateStreaming,
+		core:         core,
+		pacer:        wire.NewPacer(cfg.MKC.InitialRate, cfg.BurstBytes),
+		buf:          make([]byte, 0, cfg.Frame.PacketSize),
+		payload:      make([]byte, cfg.Frame.PacketSize-wire.HeaderSize),
+		lastActivity: now,
+		lastSendAt:   now,
 	}
 	s.stats.Key = key
 	return s, nil
@@ -285,12 +223,13 @@ func NewSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, now t
 func (s *Session) Key() Key { return s.key }
 
 // instrument attaches the server's shared aggregate counters, bumped on
-// every datagram sent or shed. Must be called before the session is
-// pumped.
-func (s *Session) instrument(datagrams, bytes, shed *obs.Counter) {
+// every datagram sent, shed, or refused by the writer. Must be called
+// before the session is pumped.
+func (s *Session) instrument(datagrams, bytes, shed, writeErrors *obs.Counter) {
 	s.aggDatagrams = datagrams
 	s.aggBytes = bytes
 	s.aggShed = shed
+	s.aggWriteErrors = writeErrors
 }
 
 // setShedLevel attaches the server's overload level. Must be called
@@ -311,7 +250,9 @@ func (s *Session) pump(now time.Time) (next time.Time, done bool) {
 	if s.state == StateClosed {
 		return time.Time{}, true
 	}
-	s.checkStaleLocked(now)
+	if s.core.Tick(now) {
+		s.pacer.SetRate(s.core.EffectiveRate(), now)
+	}
 	shed := s.shedLevelNow()
 	for {
 		if s.reserved {
@@ -320,7 +261,7 @@ func (s *Session) pump(now time.Time) (next time.Time, done bool) {
 			s.sendLocked(now)
 			continue
 		}
-		if s.planIdx >= s.planTotalLocked() {
+		if s.planIdx >= s.planTotal {
 			// Frame boundary.
 			if s.cfg.MaxFrames > 0 && s.frame >= s.cfg.MaxFrames {
 				s.state = StateClosed
@@ -337,28 +278,22 @@ func (s *Session) pump(now time.Time) (next time.Time, done bool) {
 				// counter fast; hold the boundary to the frame cadence.
 				return s.frameGateAt, false
 			}
-			budget := s.scaler.Budget(s.frame, s.effectiveRateLocked(), s.cfg.FrameInterval)
-			if s.layered {
-				fgs.Ladder(s.gammas, s.gamma.Value())
-				s.layerPlan.Frame = s.frame
-				s.pk.PlanLayersInto(s.layerPlan.Counts, s.frame, budget, s.gammas, s.cfg.RedShare)
-			} else {
-				s.plan = s.pk.PlanShare(s.frame, budget, s.gamma.Value(), s.cfg.RedShare)
-			}
+			s.planTotal = s.core.PlanFrame(s.frame)
 			s.planIdx = 0
 			s.frame++
 			s.stats.Frames = s.frame
 			s.frameGateAt = now.Add(s.cfg.FrameInterval)
-			if s.planTotalLocked() == 0 {
+			if s.planTotal == 0 {
 				// Degenerate budget: idle one frame interval instead of
-				// spinning (mirrors wire.Sender).
+				// spinning.
 				return now.Add(s.cfg.FrameInterval), false
 			}
 		}
-		if shed > 0 && s.shedsPacketLocked(s.planIdx, shed) {
-			// Overload: drop this enhancement packet at the source —
-			// uncharged against the bucket, invisible to the receiver's
-			// per-color loss (its sequence number is never consumed).
+		if shed > 0 && s.core.Layer(s.planIdx) >= max(s.core.Layers()-shed, 1) {
+			// Overload: level n drops the top n layers (the base layer
+			// always survives) at the source — uncharged against the
+			// bucket, invisible to the receiver's per-band loss (its
+			// sequence number is never consumed).
 			s.planIdx++
 			s.stats.Shed++
 			if s.aggShed != nil {
@@ -366,17 +301,16 @@ func (s *Session) pump(now time.Time) (next time.Time, done bool) {
 			}
 			continue
 		}
-		color := s.planColorLocked(s.planIdx)
+		band := s.core.Band(s.planIdx)
 		h := wire.Header{
 			Type:      wire.TypeData,
-			Color:     color,
+			Color:     band,
 			Flow:      s.key.Flow,
 			Frame:     uint32(s.frame - 1),
 			Index:     uint16(s.planIdx),
-			Seq:       s.seq[color],
+			Seq:       s.core.NextSeq(band),
 			Timestamp: now.UnixNano(),
 		}
-		s.seq[color]++
 		var err error
 		s.buf, err = wire.AppendDatagram(s.buf[:0], h, s.payload)
 		if err != nil {
@@ -405,51 +339,16 @@ func (s *Session) shedLevelNow() int {
 	return 0
 }
 
-// shedsPacketLocked reports whether plan packet idx belongs to a layer
-// the given shed level drops: level n removes the top n layers, and the
-// base layer always survives. Classic sessions map their three colors
-// through the same rule (level 1 drops red, level 2 yellow too).
-func (s *Session) shedsPacketLocked(idx, lvl int) bool {
-	var layer, n int
-	if s.layered {
-		layer = s.layerPlan.Layer(idx)
-		n = s.cfg.Layers
-	} else {
-		l, ok := s.plan.Color(idx).Layer()
-		if !ok {
-			return false
-		}
-		layer, n = l, 3
-	}
-	keep := n - lvl
-	if keep < 1 {
-		keep = 1
-	}
-	return layer >= keep
-}
-
-// planTotalLocked returns the packet count of the current frame plan.
-func (s *Session) planTotalLocked() int {
-	if s.layered {
-		return s.layerPlan.Total()
-	}
-	return s.plan.Total()
-}
-
-// planColorLocked returns the wire band of plan packet idx: the plan color
-// directly for classic sessions, the layer's band for layered ones.
-func (s *Session) planColorLocked(idx int) packet.Color {
-	if s.layered {
-		return s.cfg.LayerBands[s.layerPlan.Layer(idx)]
-	}
-	return s.plan.Color(idx)
-}
-
-// sendLocked writes the encoded datagram in buf and advances the plan.
+// sendLocked writes the encoded datagram in buf and advances the plan. A
+// refused write is counted, not retried: the shaping link models loss,
+// and a vanished receiver is collected by the idle reaper.
 func (s *Session) sendLocked(now time.Time) {
-	// Write errors have nowhere to go — the shaping link models loss, and
-	// a vanished receiver is collected by the idle reaper.
-	_, _ = s.out.WriteTo(s.buf, s.peer)
+	if _, err := s.out.WriteTo(s.buf, s.peer); err != nil {
+		s.stats.WriteErrors++
+		if s.aggWriteErrors != nil {
+			s.aggWriteErrors.Inc()
+		}
+	}
 	s.reserved = false
 	s.planIdx++
 	s.lastSendAt = now
@@ -461,41 +360,9 @@ func (s *Session) sendLocked(now time.Time) {
 	}
 }
 
-// effectiveRateLocked is the controller rate scaled by the watchdog
-// multiplier, floored at the MKC minimum rate.
-func (s *Session) effectiveRateLocked() units.BitRate {
-	r := units.BitRate(float64(s.ctrl.Rate()) * s.degrade)
-	if min := s.cfg.MKC.MinRate; min > 0 && r < min {
-		r = min
-	}
-	return r
-}
-
-// checkStaleLocked runs the stale-feedback watchdog: past StaleTimeout
-// without accepted feedback, decay the effective rate once per elapsed
-// horizon until feedback returns.
-func (s *Session) checkStaleLocked(now time.Time) {
-	if s.cfg.StaleTimeout <= 0 {
-		return
-	}
-	if now.Sub(s.lastFeedbackAt) < s.cfg.StaleTimeout {
-		return
-	}
-	if now.Sub(s.lastDecayAt) < s.cfg.StaleTimeout {
-		return // at most one decay per horizon
-	}
-	s.lastDecayAt = now
-	if s.degrade *= s.cfg.StaleDecay; s.degrade < minDegrade {
-		s.degrade = minDegrade
-	}
-	s.stats.StaleDecays++
-	s.pacer.SetRate(s.effectiveRateLocked(), now)
-}
-
-// HandleFeedback offers one feedback label to the session's controllers
-// at instant now, mirroring wire.Sender.HandleFeedback: epoch dedup in
-// the controller, watchdog recovery, γ reset on router change, pacer
-// retarget. It reports whether the label was fresh.
+// HandleFeedback offers one feedback label to the session's core at
+// instant now and retargets the pacer when it was fresh. It reports
+// whether the label was fresh.
 func (s *Session) HandleFeedback(fb packet.Feedback, now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -523,26 +390,10 @@ func (s *Session) handleFeedbackLocked(fb packet.Feedback, now time.Time) bool {
 		return false
 	}
 	s.lastActivity = now
-	if !s.ctrl.OnFeedback(fb) {
+	if !s.core.OnFeedback(fb, now) {
 		return false
 	}
-	s.lastFeedbackAt = now
-	if s.degrade != 1 {
-		s.degrade = 1
-		s.stats.Recoveries++
-	}
-	if s.haveRouter && fb.RouterID != s.lastRouterID {
-		// Feedback discontinuity: the loss history γ integrated belongs
-		// to the old queue — restart the red fraction.
-		s.gamma.Reset()
-		s.stats.RouterChanges++
-	} else {
-		s.gamma.Update(fb.Loss)
-	}
-	s.lastRouterID = fb.RouterID
-	s.haveRouter = true
-	s.stats.FeedbackAccepted++
-	s.pacer.SetRate(s.effectiveRateLocked(), now)
+	s.pacer.SetRate(s.core.EffectiveRate(), now)
 	return true
 }
 
@@ -591,7 +442,7 @@ func (s *Session) expireStuck(now time.Time, window time.Duration) bool {
 	if s.state == StateClosed {
 		return false
 	}
-	if now.Sub(s.lastFeedbackAt) < window || now.Sub(s.lastSendAt) < window {
+	if now.Sub(s.core.FeedbackAt()) < window || now.Sub(s.lastSendAt) < window {
 		return false
 	}
 	s.state = StateClosed
@@ -617,14 +468,14 @@ func (s *Session) State() State {
 func (s *Session) Rate() units.BitRate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ctrl.Rate()
+	return s.core.Rate()
 }
 
 // Gamma returns the γ controller's current red fraction.
 func (s *Session) Gamma() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gamma.Value()
+	return s.core.Gamma()
 }
 
 // Stats returns a snapshot of the session's counters and control state.
@@ -632,11 +483,8 @@ func (s *Session) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
+	st.Stats = s.core.Stats()
 	st.State = s.state
-	st.Rate = s.ctrl.Rate()
-	st.Gamma = s.gamma.Value()
-	st.LastLoss = s.ctrl.LastLoss()
-	st.Degrade = s.degrade
 	st.CloseReason = s.closeReason
 	return st
 }

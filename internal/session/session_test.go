@@ -1,10 +1,13 @@
 package session
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
 
+	"repro/internal/fgs"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -91,6 +94,9 @@ func TestSessionStreamsMaxFramesAndCloses(t *testing.T) {
 	}
 }
 
+// TestSessionFeedbackDedupAndRate: labels reach the sender core through
+// both dispatch paths, and the batch path counts only fresh epochs. The
+// control law itself is tested once, on the core (internal/stream).
 func TestSessionFeedbackDedupAndRate(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	s := newTestSession(t, Config{}, &captureWriter{}, t0)
@@ -117,22 +123,20 @@ func TestSessionFeedbackDedupAndRate(t *testing.T) {
 	}
 }
 
+// TestSessionGammaResetOnRouterChange: the session surfaces the core's
+// router-change handling in its Stats.
 func TestSessionGammaResetOnRouterChange(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	s := newTestSession(t, Config{}, &captureWriter{}, t0)
-	for e := uint64(1); e <= 20; e++ {
-		s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: e, Loss: 0.2, Valid: true}, t0)
-	}
-	if s.Gamma() == 0 {
-		t.Fatal("gamma did not grow under sustained loss")
-	}
-	s.HandleFeedback(packet.Feedback{RouterID: 9, Epoch: 1, Loss: 0.2, Valid: true}, t0)
-	st := s.Stats()
-	if st.RouterChanges != 1 {
-		t.Fatalf("router changes %d, want 1", st.RouterChanges)
+	s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: 1, Loss: 0.7, Valid: true}, t0)
+	s.HandleFeedback(packet.Feedback{RouterID: 9, Epoch: 1, Loss: 0.7, Valid: true}, t0)
+	if st := s.Stats(); st.RouterChanges != 1 || st.Gamma != fgs.DefaultGammaConfig().Initial {
+		t.Fatalf("router changes %d, γ %v: want 1 and the initial γ", st.RouterChanges, st.Gamma)
 	}
 }
 
+// TestSessionStaleDecayAndRecovery: pump runs the core's watchdog, and
+// feedback recovers it.
 func TestSessionStaleDecayAndRecovery(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	cfg := Config{StaleTimeout: 100 * time.Millisecond}
@@ -186,6 +190,9 @@ func TestSessionDrainClosesAtFrameBoundary(t *testing.T) {
 	_ = end
 }
 
+// TestSessionMinRateFloor: the session's MKC config reaches its
+// controller — heavy loss drives the rate to the configured floor, not
+// below.
 func TestSessionMinRateFloor(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	cfg := Config{}
@@ -195,12 +202,32 @@ func TestSessionMinRateFloor(t *testing.T) {
 	cfg.MKC.Beta = 0.5
 	cfg.MKC.DedupEpochs = true
 	s := newTestSession(t, cfg, &captureWriter{}, t0)
-	// Heavy loss for many epochs drives the controller to its floor, not
-	// below.
 	for e := uint64(1); e <= 200; e++ {
 		s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: e, Loss: 0.9, Valid: true}, t0)
 	}
-	if r := s.Rate(); r < cfg.MKC.MinRate {
-		t.Fatalf("rate %v fell below the MKC floor %v", r, cfg.MKC.MinRate)
+	if r := s.Rate(); r != cfg.MKC.MinRate {
+		t.Fatalf("rate %v after sustained heavy loss, want the MKC floor %v", r, cfg.MKC.MinRate)
+	}
+}
+
+// failWriter refuses every datagram.
+type failWriter struct{}
+
+func (failWriter) WriteTo([]byte, net.Addr) (int, error) { return 0, errors.New("refused") }
+
+// TestSessionCountsWriteErrors: a refused write is counted on the session
+// and on the server's shared counter, and the stream carries on.
+func TestSessionCountsWriteErrors(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	s := newTestSession(t, Config{MaxFrames: 2}, failWriter{}, t0)
+	var shared obs.Counter
+	s.instrument(nil, nil, nil, &shared)
+	drive(t, s, t0, 100000)
+	st := s.Stats()
+	if st.Datagrams == 0 || st.WriteErrors != st.Datagrams {
+		t.Fatalf("write errors %d for %d datagrams, want every one counted", st.WriteErrors, st.Datagrams)
+	}
+	if got := uint64(shared.Value()); got != st.WriteErrors {
+		t.Fatalf("server counter %d, session counter %d", got, st.WriteErrors)
 	}
 }

@@ -18,10 +18,11 @@
 //     p) into passing datagrams with the max-loss override of eq. 8. It
 //     also ranks datagrams so congestion drops hit red before yellow
 //     before green.
-//   - Sender and Receiver, the end hosts: the sender reuses
-//     internal/cc (MKC) and internal/fgs (γ controller, packetizer)
-//     unchanged; the receiver measures per-epoch loss per color from
-//     sequence gaps and echoes fresh feedback labels on the reverse path.
+//   - Receiver (and Swarm, its many-receiver load generator), the
+//     receiving end host: it subscribes with a hello, measures per-epoch
+//     loss per color from sequence gaps, and echoes fresh feedback labels
+//     on the reverse path. The sending side is internal/session, which
+//     drives the sender core the simulator shares (internal/stream).
 //   - An in-process link Emulator implementing net.PacketConn on both
 //     ends, with configurable delay, bandwidth, queue size, and seeded
 //     random loss, so the whole subsystem runs deterministically in CI
@@ -30,8 +31,9 @@
 //     real UDP socket.
 //
 // The boundary with the simulator is deliberate: wire depends on packet,
-// cc, fgs, and units — the pure control-plane packages — and never on
-// sim or netsim. Everything above the socket (controllers, γ,
-// packetization) is shared between the simulated and live stacks;
-// everything below (queues, links, clocks) is swapped.
+// units, and cc (for the eq. 11 estimate it shares with internal/aqm) —
+// the pure control-plane packages — and never on sim or netsim.
+// Everything above the socket (controllers, γ, packetization) is shared
+// between the simulated and live stacks; everything below (queues,
+// links, clocks) is swapped.
 package wire

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cc"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/units"
@@ -20,7 +21,7 @@ type GatewayConfig struct {
 	Capacity units.BitRate
 	// MinLoss clamps the computed loss from below; it must be negative
 	// (the negative range is the spare-capacity signal that lets sources
-	// grow). 0 selects DefaultMinLoss.
+	// grow). 0 selects cc.DefaultMinLoss.
 	MinLoss float64
 	// Now overrides the clock for tests; nil means time.Now.
 	Now func() time.Time
@@ -28,11 +29,6 @@ type GatewayConfig struct {
 	// gauges under the "gateway." prefix.
 	Obs *obs.Registry
 }
-
-// DefaultMinLoss bounds p from below, mirroring aqm.DefaultMinLoss: with
-// β=0.5 and p=−2 a source at most doubles its rate per control interval.
-// (Redeclared here so the live stack never imports the simulator side.)
-const DefaultMinLoss = -2.0
 
 // Gateway is the live counterpart of aqm.Feedback plus the drop-priority
 // classifier: installed as a link's Marker, it measures the aggregate
@@ -71,7 +67,7 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		panic("wire: gateway MinLoss must be negative (it bounds the spare-capacity signal)")
 	}
 	if cfg.MinLoss == 0 {
-		cfg.MinLoss = DefaultMinLoss
+		cfg.MinLoss = cc.DefaultMinLoss
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -134,9 +130,8 @@ func (g *Gateway) Priority(b []byte) int {
 	}
 }
 
-// advanceLocked closes measurement windows that have fully elapsed by now,
-// computing eq. (11) over the real window length: R = S/elapsed,
-// p = (R−C)/R, z = z+1, S = 0.
+// advanceLocked closes the measurement window once it has fully elapsed
+// by now: p from eq. (11) over the real window length, z = z+1, S = 0.
 func (g *Gateway) advanceLocked(now time.Time) {
 	if !g.started {
 		g.windowStart = now
@@ -147,15 +142,7 @@ func (g *Gateway) advanceLocked(now time.Time) {
 	if elapsed < g.cfg.Interval {
 		return
 	}
-	rate := units.RateFromBytes(g.bytes, elapsed)
-	loss := g.cfg.MinLoss
-	if rate > 0 {
-		loss = (float64(rate) - float64(g.cfg.Capacity)) / float64(rate)
-		if loss < g.cfg.MinLoss {
-			loss = g.cfg.MinLoss
-		}
-	}
-	g.loss = loss
+	_, g.loss = cc.RouterLoss(g.bytes, elapsed, g.cfg.Capacity, g.cfg.MinLoss)
 	g.epoch++
 	g.bytes = 0
 	g.windowStart = now

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cc"
 	"repro/internal/packet"
 	"repro/internal/units"
 )
@@ -75,8 +76,8 @@ func TestGatewayNegativeLossClamped(t *testing.T) {
 	g.Mark(pkt) // 125 bytes in 10 ms = 100 kbit/s → raw p = −9, clamped −2
 	clk.advance(10 * time.Millisecond)
 	g.Mark(pkt)
-	if got := g.Loss(); got != DefaultMinLoss {
-		t.Fatalf("loss %v, want clamp at %v", got, DefaultMinLoss)
+	if got := g.Loss(); got != cc.DefaultMinLoss {
+		t.Fatalf("loss %v, want clamp at %v", got, cc.DefaultMinLoss)
 	}
 }
 

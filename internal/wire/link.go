@@ -305,10 +305,12 @@ func (l *link) propagate() {
 		l.outMu.Unlock()
 
 		sleepUntil(o.at)
-		l.deliver(o.b, o.to)
+		// Count before delivering: once a reader holds the datagram, the
+		// counter must already include it.
 		l.mu.Lock()
 		l.stats.Delivered++
 		l.mu.Unlock()
+		l.deliver(o.b, o.to)
 	}
 }
 

@@ -1,4 +1,8 @@
-package wire
+package wire_test
+
+// End-to-end tests of the live stack: a one-session session.Server
+// streams through the emulator to a hello-subscribed Receiver. They live
+// in the external test package because session builds on wire.
 
 import (
 	"context"
@@ -10,11 +14,55 @@ import (
 	"repro/internal/cc"
 	"repro/internal/fgs"
 	"repro/internal/packet"
+	"repro/internal/session"
 	"repro/internal/units"
+	"repro/internal/wire"
 )
 
+// newLoopback builds a one-session server on the emulator's A side and a
+// hello-subscribed receiver on its B side. The server defaults suit
+// thousands of sessions; one stream is paced on a tick finer than its
+// 100 B packet time and applies each label as it arrives, so the 10 ms
+// control loop sees neither 1 ms send bursts nor 2 ms batching delay.
+func newLoopback(t *testing.T, emu *wire.Emulator, cfg session.Config) (*session.Server, *wire.Receiver) {
+	t.Helper()
+	srv, err := session.NewServer(session.ServerConfig{
+		Conn:         emu.A(),
+		Clock:        wire.SystemClock{},
+		Session:      cfg,
+		MaxSessions:  1,
+		Workers:      1,
+		WheelTick:    250 * time.Microsecond,
+		BatchCount:   1,
+		ExitWhenIdle: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
+		Flow:  1,
+		Peer:  emu.A().LocalAddr(),
+		Hello: true,
+	})
+	return srv, recv
+}
+
+// admitted waits for the receiver's hello to be admitted and returns the
+// session, which stays readable after the server drops it on completion.
+func admitted(t *testing.T, srv *session.Server, emu *wire.Emulator) *session.Session {
+	t.Helper()
+	key := session.Key{Addr: emu.B().LocalAddr().String(), Flow: 1}
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if sess := srv.Table().Get(key); sess != nil {
+			return sess
+		}
+	}
+	t.Fatal("receiver never admitted")
+	return nil
+}
+
 // TestLiveLoopbackConvergence is the end-to-end acceptance test of the
-// live stack: a Sender streams >= 300 FGS frames through the emulated
+// live stack: a session streams >= 300 FGS frames through the emulated
 // bottleneck (capacity 3 Mbit/s, marking gateway, priority-drop queue)
 // while the Receiver echoes feedback on the reverse path. Over the
 // converged second half of the stream it asserts the three PELS
@@ -37,20 +85,20 @@ func TestLiveLoopbackConvergence(t *testing.T) {
 		maxFrames = 320
 		pThr      = 0.75
 	)
-	gw := NewGateway(GatewayConfig{
+	gw := wire.NewGateway(wire.GatewayConfig{
 		RouterID: 1,
 		Interval: interval,
 		Capacity: capacity,
 	})
-	emu := NewEmulator(EmulatorConfig{
-		AtoB: LinkConfig{
+	emu := wire.NewEmulator(wire.EmulatorConfig{
+		AtoB: wire.LinkConfig{
 			Bandwidth:  capacity,
 			Delay:      2 * time.Millisecond,
 			QueueBytes: 3000,
 			Seed:       1,
 			Marker:     gw,
 		},
-		BtoA: LinkConfig{Delay: 2 * time.Millisecond},
+		BtoA: wire.LinkConfig{Delay: 2 * time.Millisecond},
 	})
 	defer emu.Close()
 
@@ -58,8 +106,7 @@ func TestLiveLoopbackConvergence(t *testing.T) {
 	// stationary point r* = C + α/β = 3.3 Mbit/s a frame carries ~41
 	// packets, of which γ*·41 ≈ 5 are red — enough granularity for red
 	// loss to settle at p*/γ* = p_thr.
-	cfg := SenderConfig{
-		Flow: 1,
+	srv, recv := newLoopback(t, emu, session.Config{
 		Frame: fgs.FrameSpec{
 			PacketSize:   100,
 			TotalPackets: 80, // R_max = 6.4 Mbit/s, headroom above r*
@@ -76,23 +123,20 @@ func TestLiveLoopbackConvergence(t *testing.T) {
 		Gamma:      fgs.DefaultGammaConfig(),
 		BurstBytes: 1600,
 		MaxFrames:  maxFrames,
-	}
-	sender, err := NewSender(emu.A(), nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv := NewReceiver(emu.B(), ReceiverConfig{Flow: 1})
+	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(1)
 	go func() { defer wg.Done(); _ = recv.Run(ctx) }()
-	go func() { defer wg.Done(); _ = sender.ServeFeedback(ctx) }()
+	srvErr := make(chan error, 1)
+	go func() { srvErr <- srv.Run(ctx) }()
+	sess := admitted(t, srv, emu)
 
 	// Snapshot once the first half has streamed, so the assertions below
 	// cover only the converged regime.
-	midCh := make(chan ReceiverStats, 1)
+	midCh := make(chan wire.ReceiverStats, 1)
 	go func() {
 		for {
 			st := recv.Stats()
@@ -109,8 +153,8 @@ func TestLiveLoopbackConvergence(t *testing.T) {
 		}
 	}()
 
-	if err := sender.Run(ctx); err != nil {
-		t.Fatalf("sender: %v", err)
+	if err := <-srvErr; err != nil {
+		t.Fatalf("server: %v", err)
 	}
 	time.Sleep(150 * time.Millisecond) // drain the queue and the delay line
 	mid := <-midCh
@@ -151,7 +195,7 @@ func TestLiveLoopbackConvergence(t *testing.T) {
 
 	// The feedback loop actually ran: epochs advanced and the sender
 	// accepted them.
-	ss := sender.Stats()
+	ss := sess.Stats()
 	if ss.FeedbackAccepted < 50 {
 		t.Errorf("sender accepted only %d feedback labels", ss.FeedbackAccepted)
 	}
@@ -166,7 +210,7 @@ func TestLiveLoopbackConvergence(t *testing.T) {
 
 // windowLoss returns the loss rate of the traffic between two cumulative
 // snapshots.
-func windowLoss(from, to ColorCount) float64 {
+func windowLoss(from, to wire.ColorCount) float64 {
 	lost := to.Lost - from.Lost
 	recv := to.Received - from.Received
 	if lost+recv == 0 {
@@ -175,39 +219,37 @@ func windowLoss(from, to ColorCount) float64 {
 	return float64(lost) / float64(lost+recv)
 }
 
-// TestLiveSenderStopsOnContext: cancellation interrupts both loops
-// promptly even mid-pacing-wait.
+// TestLiveSenderStopsOnContext: cancellation stops a streaming server
+// promptly even while its session is mid-pacing-wait.
 func TestLiveSenderStopsOnContext(t *testing.T) {
-	emu := NewEmulator(EmulatorConfig{})
+	emu := wire.NewEmulator(wire.EmulatorConfig{})
 	defer emu.Close()
-	cfg := SenderConfig{
-		Flow:  1,
+	srv, recv := newLoopback(t, emu, session.Config{
 		Frame: fgs.FrameSpec{PacketSize: 100, TotalPackets: 80, GreenPackets: 8},
 		MKC: cc.MKCConfig{
 			Alpha: 20 * units.Kbps, Beta: 0.5,
 			// Glacial rate: the pacer wait per packet is ~12 ms, so the
-			// sender is almost certainly inside a wait when canceled.
+			// session is almost certainly inside a wait when canceled.
 			InitialRate: 64 * units.Kbps, MinRate: 64 * units.Kbps,
 		},
-	}
-	s, err := NewSender(emu.A(), nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = recv.Run(ctx) }()
 	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx) }()
+	go func() { done <- srv.Run(ctx) }()
+	sess := admitted(t, srv, emu)
 	time.Sleep(50 * time.Millisecond)
 	cancel()
 	select {
 	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("Run returned %v, want context.Canceled", err)
+		if err != nil {
+			t.Fatalf("Run returned %v on cancellation, want nil", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("sender did not stop on cancellation")
+		t.Fatal("server did not stop on cancellation")
 	}
-	if s.Stats().Datagrams == 0 {
-		t.Fatal("sender sent nothing before cancellation")
+	if sess.Stats().Datagrams == 0 {
+		t.Fatal("session sent nothing before cancellation")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/packet"
 	"repro/internal/units"
 )
@@ -52,110 +51,6 @@ func (c *captureConn) LocalAddr() net.Addr              { return fakeAddr("local
 func (c *captureConn) SetDeadline(time.Time) error      { return nil }
 func (c *captureConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *captureConn) SetWriteDeadline(time.Time) error { return nil }
-
-func TestSenderStaleWatchdogDecaysAndRecovers(t *testing.T) {
-	now := time.Unix(1000, 0)
-	s, err := NewSender(&captureConn{}, fakeAddr("peer"), SenderConfig{
-		Flow:         1,
-		Now:          func() time.Time { return now },
-		StaleTimeout: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh label arms the watchdog.
-	if !s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: 1, Loss: 0, Valid: true}) {
-		t.Fatal("first feedback rejected")
-	}
-	full := s.Stats().Rate
-
-	// Within the horizon: nothing decays.
-	now = now.Add(50 * time.Millisecond)
-	s.checkStale()
-	if st := s.Stats(); st.Degrade != 1 || st.StaleDecays != 0 {
-		t.Fatalf("decayed inside the horizon: %+v", st)
-	}
-
-	// Past the horizon: one decay, and at most one per elapsed horizon.
-	now = now.Add(100 * time.Millisecond)
-	s.checkStale()
-	s.checkStale()
-	if st := s.Stats(); st.Degrade != 0.5 || st.StaleDecays != 1 {
-		t.Fatalf("want a single 0.5 decay: %+v", st)
-	}
-	now = now.Add(100 * time.Millisecond)
-	s.checkStale()
-	if st := s.Stats(); st.Degrade != 0.25 || st.StaleDecays != 2 {
-		t.Fatalf("want second decay to 0.25: %+v", st)
-	}
-
-	// However long the outage, the effective rate keeps a floor: the MKC
-	// minimum rate (the degraded stream falls back to the base layer, it
-	// does not go silent).
-	for i := 0; i < 40; i++ {
-		now = now.Add(100 * time.Millisecond)
-		s.checkStale()
-	}
-	s.mu.Lock()
-	eff := s.effectiveRateLocked()
-	s.mu.Unlock()
-	if min := cc.DefaultMKCConfig().MinRate; eff < min {
-		t.Fatalf("effective rate %v fell below MKC floor %v", eff, min)
-	}
-	var _ units.BitRate = eff
-
-	// One fresh label restores the controller rate in a single step.
-	if !s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: 2, Loss: 0, Valid: true}) {
-		t.Fatal("recovery feedback rejected")
-	}
-	st := s.Stats()
-	if st.Degrade != 1 || st.Recoveries != 1 {
-		t.Fatalf("recovery did not restore degrade: %+v", st)
-	}
-	if st.Rate < full {
-		t.Fatalf("controller rate regressed across the outage: %v < %v", st.Rate, full)
-	}
-}
-
-func TestSenderRouterChangeResetsGamma(t *testing.T) {
-	now := time.Unix(1000, 0)
-	s, err := NewSender(&captureConn{}, fakeAddr("peer"), SenderConfig{
-		Flow: 1,
-		Now:  func() time.Time { return now },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := s.Stats().Gamma
-
-	// Adapt γ upward against heavy loss from router 1.
-	for e := uint64(1); e <= 10; e++ {
-		s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: e, Loss: 0.7, Valid: true})
-	}
-	if s.Stats().Gamma <= initial {
-		t.Fatal("precondition: gamma did not adapt upward")
-	}
-
-	// The bottleneck moves: router 2, epoch counter restarted. γ restarts
-	// from Initial instead of stepping with a cross-router delta.
-	if !s.HandleFeedback(packet.Feedback{RouterID: 2, Epoch: 1, Loss: 0.7, Valid: true}) {
-		t.Fatal("post-change feedback rejected")
-	}
-	st := s.Stats()
-	if st.Gamma != initial {
-		t.Fatalf("gamma = %v after router change, want Initial %v", st.Gamma, initial)
-	}
-	if st.RouterChanges != 1 {
-		t.Fatalf("RouterChanges = %d, want 1", st.RouterChanges)
-	}
-
-	// Subsequent labels from the new router adapt normally again.
-	s.HandleFeedback(packet.Feedback{RouterID: 2, Epoch: 2, Loss: 0.7, Valid: true})
-	if s.Stats().Gamma <= initial {
-		t.Fatal("gamma frozen after reset")
-	}
-}
 
 func TestReceiverProbesWithBoundedBackoff(t *testing.T) {
 	now := time.Unix(2000, 0)
