@@ -57,7 +57,7 @@ bench:
 # repeated -count times; perfdiff -emit -best keeps the min-ns/max-allocs
 # figure of the repeats, the noise-robust statistic for gating. The
 # repo-level figure benchmarks run once and are recorded, not gated.
-BENCH_V      := 10
+BENCH_V      := 13
 BENCH_MICRO  := ^Benchmark(Wire|Gateway|Pacer|Sim|Netsim|Session|Plan|Priority)
 BENCH_MACRO  := ^BenchmarkMacro
 # Gated names must all exist in every fresh report the CI bench job makes

@@ -162,6 +162,7 @@ func run() error {
 	}
 	shaped := wire.NewShapedConn(conn, linkCfg)
 	defer shaped.Close() // drains the bottleneck, then closes conn
+	registerLinkGauges(reg, shaped)
 
 	sessCfg := session.Config{
 		Frame: fgs.FrameSpec{
@@ -279,16 +280,38 @@ func run() error {
 		runErr = <-errCh
 	}
 
+	// Drain the bottleneck before reading it, so the link counters below
+	// account for every datagram the sessions handed over.
+	_ = shaped.Close()
 	st := srv.Stats()
-	fmt.Printf("sessions=%d completed=%d reaped=%d reaped_stuck=%d rejected=%d rejected_full=%d rejected_drain=%d rejected_config=%d admit_races=%d sheds=%d restores=%d datagrams=%d bytes=%d feedback=%d batches=%d\n",
+	ls := shaped.Stats()
+	fmt.Printf("sessions=%d completed=%d reaped=%d reaped_stuck=%d rejected=%d rejected_full=%d rejected_drain=%d rejected_config=%d admit_races=%d sheds=%d restores=%d datagrams=%d bytes=%d feedback=%d batches=%d"+
+		" link_enqueued=%d link_delivered=%d link_overflow_drops=%d link_marker_drops=%d link_fault_drops=%d link_write_errors=%d\n",
 		st.Admitted, st.Completed, st.Reaped, st.ReapedStuck,
 		st.Rejected, st.RejectedFull, st.RejectedDrain, st.RejectedConfig,
 		st.AdmitRaces, st.Sheds, st.Restores,
-		st.Datagrams, st.Bytes, st.FeedbackItems, st.FeedbackBatches)
+		st.Datagrams, st.Bytes, st.FeedbackItems, st.FeedbackBatches,
+		ls.Enqueued, ls.Delivered, ls.OverflowDrops, ls.MarkerDrops, ls.FaultDrops, ls.WriteErrors)
 	if runErr != nil && !errors.Is(runErr, context.Canceled) && !errors.Is(runErr, context.DeadlineExceeded) {
 		return runErr
 	}
 	return nil
+}
+
+// registerLinkGauges publishes the bottleneck's counters in /debug/vars
+// as link.* gauges, read from the link at snapshot time.
+func registerLinkGauges(reg *obs.Registry, shaped *wire.ShapedConn) {
+	for name, field := range map[string]func(wire.LinkStats) uint64{
+		"link.enqueued":       func(s wire.LinkStats) uint64 { return s.Enqueued },
+		"link.delivered":      func(s wire.LinkStats) uint64 { return s.Delivered },
+		"link.overflow_drops": func(s wire.LinkStats) uint64 { return s.OverflowDrops },
+		"link.marker_drops":   func(s wire.LinkStats) uint64 { return s.MarkerDrops },
+		"link.fault_drops":    func(s wire.LinkStats) uint64 { return s.FaultDrops },
+		"link.random_drops":   func(s wire.LinkStats) uint64 { return s.RandomDrops },
+		"link.write_errors":   func(s wire.LinkStats) uint64 { return s.WriteErrors },
+	} {
+		reg.GaugeFunc(name, func() float64 { return float64(field(shaped.Stats())) })
+	}
 }
 
 // drain refuses new hellos and lets live sessions finish their frame in

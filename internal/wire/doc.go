@@ -28,7 +28,12 @@
 //     random loss, so the whole subsystem runs deterministically in CI
 //     over loopback without privileges. The same shaping link backs
 //     NewShapedConn, the software bottleneck cmd/pelsd puts in front of a
-//     real UDP socket.
+//     real UDP socket. The link keeps one FIFO ring per Marker priority
+//     (O(1) service and eviction), copies each datagram into a pooled
+//     buffer, and runs one goroutine that releases every datagram due in
+//     a single batch; a datagram crosses it without allocating. Emulator
+//     endpoints follow UDP socket deadline semantics, including waking a
+//     blocked ReadFrom when another goroutine moves the deadline.
 //
 // The boundary with the simulator is deliberate: wire depends on packet,
 // units, and cc (for the eq. 11 estimate it shares with internal/aqm) —

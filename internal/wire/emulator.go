@@ -42,8 +42,11 @@ func NewEmulator(cfg EmulatorConfig) *Emulator {
 		a: newEndpoint("emu-a"),
 		b: newEndpoint("emu-b"),
 	}
-	e.ab = newLink(cfg.AtoB, func(b []byte, _ net.Addr) { e.b.deliverFrom(b, e.a.addr) })
-	e.ba = newLink(cfg.BtoA, func(b []byte, _ net.Addr) { e.a.deliverFrom(b, e.b.addr) })
+	// Each endpoint stores its peer's address once, so a delivery does
+	// not box it again.
+	e.a.peer, e.b.peer = e.b.addr, e.a.addr
+	e.ab = newLink(cfg.AtoB, e.b.deliver)
+	e.ba = newLink(cfg.BtoA, e.a.deliver)
 	e.a.link = e.ab
 	e.b.link = e.ba
 	return e
@@ -77,23 +80,20 @@ func (e *Emulator) Close() error {
 // behaves like a full socket buffer and drops.
 const inboxCap = 4096
 
-// received is one datagram waiting in an endpoint's inbox.
-type received struct {
-	b    []byte
-	from net.Addr
-}
-
 // endpoint is one side of the emulated link.
 type endpoint struct {
 	addr EmuAddr
-	link *link // outbound direction; set by NewEmulator
+	peer net.Addr // source address of every delivery; set by NewEmulator
+	link *link    // outbound direction; set by NewEmulator
 
-	inbox chan received
+	inbox chan *dgram
 	done  chan struct{}
 
 	mu       sync.Mutex
 	closed   bool
 	deadline time.Time
+	blocked  int           // ReadFrom calls waiting on the inbox
+	moved    chan struct{} // closed when the deadline moves under a blocked read
 	overruns uint64
 }
 
@@ -102,66 +102,98 @@ var _ net.PacketConn = (*endpoint)(nil)
 func newEndpoint(name string) *endpoint {
 	return &endpoint{
 		addr:  EmuAddr(name),
-		inbox: make(chan received, inboxCap),
+		inbox: make(chan *dgram, inboxCap),
 		done:  make(chan struct{}),
 	}
 }
 
-func (ep *endpoint) deliverFrom(b []byte, from net.Addr) {
+// deliver is the inbound link's delivery callback. The datagram's buffer
+// passes to the inbox and is released by the ReadFrom that copies it out,
+// or here if the endpoint cannot take it.
+func (ep *endpoint) deliver(d *dgram, _ net.Addr) {
 	select {
-	case ep.inbox <- received{b: b, from: from}:
+	case ep.inbox <- d:
 	case <-ep.done:
+		d.release()
 	default:
 		ep.mu.Lock()
 		ep.overruns++
 		ep.mu.Unlock()
+		d.release()
 	}
 }
 
-// ReadFrom implements net.PacketConn. The deadline is sampled at entry:
-// a SetReadDeadline from another goroutine takes effect on the next call,
-// which matches how the wire loops use it (deadline set before each
-// read). Close unblocks pending reads.
+// ReadFrom implements net.PacketConn with UDP socket semantics: a
+// datagram already waiting is returned at once (even past the deadline),
+// a blocked read wakes when another goroutine moves the deadline, and
+// Close unblocks pending reads with net.ErrClosed.
 func (ep *endpoint) ReadFrom(p []byte) (int, net.Addr, error) {
-	ep.mu.Lock()
-	deadline := ep.deadline
-	closed := ep.closed
-	ep.mu.Unlock()
-	if closed {
-		return 0, nil, net.ErrClosed
-	}
-	var expired <-chan time.Time
-	if !deadline.IsZero() {
-		d := time.Until(deadline)
-		if d <= 0 {
-			// Still drain anything already delivered, like a socket.
-			select {
-			case r := <-ep.inbox:
-				return copyInto(p, r)
-			default:
+	for {
+		select {
+		case <-ep.done:
+			return 0, nil, net.ErrClosed
+		default:
+		}
+		select {
+		case d := <-ep.inbox:
+			return ep.copyOut(p, d)
+		default:
+		}
+
+		ep.mu.Lock()
+		deadline := ep.deadline
+		var wait time.Duration
+		if !deadline.IsZero() {
+			if wait = time.Until(deadline); wait <= 0 {
+				ep.mu.Unlock()
 				return 0, nil, os.ErrDeadlineExceeded
 			}
 		}
-		t := time.NewTimer(d)
-		defer t.Stop()
-		expired = t.C
-	}
-	select {
-	case r := <-ep.inbox:
-		return copyInto(p, r)
-	case <-expired:
-		return 0, nil, os.ErrDeadlineExceeded
-	case <-ep.done:
-		return 0, nil, net.ErrClosed
+		if ep.moved == nil {
+			ep.moved = make(chan struct{})
+		}
+		moved := ep.moved
+		ep.blocked++
+		ep.mu.Unlock()
+
+		var (
+			timer   *time.Timer
+			expired <-chan time.Time
+		)
+		if wait > 0 {
+			timer = time.NewTimer(wait)
+			expired = timer.C
+		}
+		var d *dgram
+		select {
+		case d = <-ep.inbox:
+		case <-expired:
+		case <-moved:
+		case <-ep.done:
+		}
+		if timer != nil {
+			timer.Stop()
+		}
+		ep.mu.Lock()
+		ep.blocked--
+		ep.mu.Unlock()
+		if d != nil {
+			return ep.copyOut(p, d)
+		}
+		// Deadline expiry, a moved deadline and Close are all re-checked
+		// at the top of the loop.
 	}
 }
 
-func copyInto(p []byte, r received) (int, net.Addr, error) {
-	n := copy(p, r.b)
-	if n < len(r.b) {
-		return n, r.from, fmt.Errorf("wire: %d-byte datagram truncated into %d-byte buffer", len(r.b), len(p))
+// copyOut copies d into p and releases its buffer.
+func (ep *endpoint) copyOut(p []byte, d *dgram) (int, net.Addr, error) {
+	n := copy(p, d.b)
+	var err error
+	if n < len(d.b) {
+		err = fmt.Errorf("wire: %d-byte datagram truncated into %d-byte buffer", len(d.b), len(p))
 	}
-	return n, r.from, nil
+	d.release()
+	return n, ep.peer, err
 }
 
 // WriteTo implements net.PacketConn. The destination address is ignored:
@@ -202,11 +234,16 @@ func (ep *endpoint) LocalAddr() net.Addr { return ep.addr }
 // writes never block).
 func (ep *endpoint) SetDeadline(t time.Time) error { return ep.SetReadDeadline(t) }
 
-// SetReadDeadline implements net.PacketConn.
+// SetReadDeadline implements net.PacketConn. Like a socket's, it also
+// applies to a ReadFrom already blocked in another goroutine.
 func (ep *endpoint) SetReadDeadline(t time.Time) error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	ep.deadline = t
+	if ep.blocked > 0 && ep.moved != nil {
+		close(ep.moved)
+		ep.moved = nil
+	}
 	return nil
 }
 
@@ -228,18 +265,27 @@ func (ep *endpoint) Overruns() uint64 {
 // stream still exercises the whole PELS control loop.
 type ShapedConn struct {
 	net.PacketConn
-	link *link
+	link      *link
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // NewShapedConn shapes writes to inner with cfg.
 func NewShapedConn(inner net.PacketConn, cfg LinkConfig) *ShapedConn {
 	s := &ShapedConn{PacketConn: inner}
-	s.link = newLink(cfg, func(b []byte, to net.Addr) {
-		// Delivery errors have nowhere to go; a lossy link is part of
-		// the model.
-		_, _ = inner.WriteTo(b, to)
-	})
+	s.link = newLink(cfg, s.write)
 	return s
+}
+
+// write is the link's delivery callback: the buffer goes back to the
+// pool once the inner socket has taken the bytes. A failed write is
+// counted in LinkStats.WriteErrors.
+func (s *ShapedConn) write(d *dgram, to net.Addr) {
+	_, err := s.PacketConn.WriteTo(d.b, to)
+	d.release()
+	if err != nil {
+		s.link.countWriteError()
+	}
 }
 
 // WriteTo implements net.PacketConn by enqueueing into the shaping link.
@@ -251,9 +297,13 @@ func (s *ShapedConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 // Stats returns the shaping link's counters.
 func (s *ShapedConn) Stats() LinkStats { return s.link.Stats() }
 
-// Close drains the shaping link, then closes the inner conn.
+// Close drains the shaping link, then closes the inner conn. Later calls
+// return the first call's result.
 func (s *ShapedConn) Close() error {
-	s.link.close()
-	s.link.wait()
-	return s.PacketConn.Close()
+	s.closeOnce.Do(func() {
+		s.link.close()
+		s.link.wait()
+		s.closeErr = s.PacketConn.Close()
+	})
+	return s.closeErr
 }

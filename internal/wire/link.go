@@ -3,7 +3,6 @@ package wire
 import (
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -15,14 +14,23 @@ import (
 // it sees every datagram entering the link, may rewrite it (feedback
 // stamping), and ranks datagrams so congestion drops follow the PELS
 // priority order. Gateway is the canonical implementation.
+//
+// Both methods get the link's own copy of the datagram, which returns to
+// a buffer pool once delivered or dropped: an implementation must not
+// retain b (or any slice of it) after the call returns.
 type Marker interface {
 	// Mark processes a datagram about to enter the link queue. It may
 	// mutate b in place; returning drop=true discards the datagram.
 	Mark(b []byte) (drop bool)
 	// Priority ranks a datagram for congestion drops: lower values are
-	// more important and are evicted last.
+	// more important and are evicted last. The link keeps one queue per
+	// rank in [0, 4] (Gateway uses all five: control, green, yellow,
+	// red, best effort); values outside the range are clamped into it.
 	Priority(b []byte) int
 }
+
+// maxPriority is the least important rank a link distinguishes.
+const maxPriority = 4
 
 // LinkConfig shapes one direction of an emulated link (or the outbound
 // software bottleneck of cmd/pelsd).
@@ -50,8 +58,10 @@ type LinkConfig struct {
 	// from link creation on the link's clock. Do not share one injector
 	// between links: its random stream would entangle their decisions.
 	Faults *fault.Injector
-	// Now overrides the clock used for arrival stamps and the fault
-	// schedule; nil means time.Now. Tests inject a synthetic clock here.
+	// Now overrides the link's clock (arrival stamps, the fault schedule
+	// and the release instants); nil means time.Now. The link sleeps real
+	// time until its next release, so an injected clock must advance at
+	// wall-clock pace.
 	Now func() time.Time
 }
 
@@ -74,73 +84,136 @@ type LinkStats struct {
 	// flaps, feedback starvation). Other fault effects are counted by the
 	// injector itself (fault.Injector.Stats).
 	FaultDrops uint64
+	// WriteErrors are delivered datagrams the socket under a ShapedConn
+	// refused to write (they are also counted in Delivered). Always 0
+	// for an Emulator.
+	WriteErrors uint64
+}
+
+// dgram is a link-owned copy of one datagram. Buffers come from two
+// size-classed pools: a small class for control datagrams and short
+// payloads, and a MaxDatagram class for full video datagrams. One class
+// alone would either waste memory on small traffic or miss large ones.
+type dgram struct {
+	b []byte
+}
+
+// smallDgram is the capacity of the small buffer class.
+const smallDgram = 256
+
+var (
+	smallDgrams = sync.Pool{New: func() any { return &dgram{b: make([]byte, 0, smallDgram)} }}
+	largeDgrams = sync.Pool{New: func() any { return &dgram{b: make([]byte, 0, MaxDatagram)} }}
+)
+
+// newDgram returns a buffer holding a copy of b. Oversized datagrams get
+// a buffer of their own that release does not recycle.
+func newDgram(b []byte) *dgram {
+	var d *dgram
+	switch {
+	case len(b) <= smallDgram:
+		d = smallDgrams.Get().(*dgram)
+	case len(b) <= MaxDatagram:
+		d = largeDgrams.Get().(*dgram)
+	default:
+		d = &dgram{b: make([]byte, 0, len(b))}
+	}
+	d.b = append(d.b[:0], b...)
+	return d
+}
+
+// release returns d to its pool. The caller must not touch d afterwards.
+func (d *dgram) release() {
+	switch cap(d.b) {
+	case smallDgram:
+		smallDgrams.Put(d)
+	case MaxDatagram:
+		largeDgrams.Put(d)
+	}
 }
 
 // queued is one datagram waiting for the serializer.
 type queued struct {
-	b     []byte
+	d     *dgram
 	to    net.Addr
 	prio  int
+	seq   uint64        // arrival order across all priority bands
 	at    time.Time     // arrival instant, anchors the serialization deadline
 	extra time.Duration // fault-injected extra propagation delay (reordering)
 }
 
-// link shapes datagrams through loss → marking → bounded priority queue →
-// serialization at Bandwidth → propagation Delay → deliver. Serialization
-// and delivery run on two goroutines with absolute-time deadlines, so
-// sleep overshoot never reduces throughput below the configured rate and
-// delivery order always matches queue order.
-type link struct {
-	cfg     LinkConfig
-	deliver func(b []byte, to net.Addr)
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []queued
-	bytes  int
-	rng    *rand.Rand
-	stats  LinkStats
-	closed bool
-	start  time.Time // link creation; anchors the fault schedule
-
-	outMu   sync.Mutex
-	outCond *sync.Cond
-	out     []outgoing
-	outDone bool
-
-	wg sync.WaitGroup
-}
-
 // outgoing is a serialized datagram waiting out its propagation delay.
 type outgoing struct {
-	b  []byte
+	d  *dgram
 	to net.Addr
 	at time.Time // delivery instant
 }
 
-func newLink(cfg LinkConfig, deliver func(b []byte, to net.Addr)) *link {
+// link shapes datagrams through loss → marking → bounded priority queue →
+// serialization at Bandwidth → propagation Delay → deliver.
+//
+// The queue keeps one FIFO per priority rank; every entry carries its
+// arrival sequence number. The serializer takes the band head with the
+// lowest sequence number (FIFO service across priorities), and a full
+// queue evicts the tail of the worst non-empty band, so both are O(1).
+//
+// One goroutine (run) does all timed work. Each wake takes the lock
+// once: it starts every datagram whose start instant max(busyUntil,
+// arrival) has passed, stamps its delivery instant busyUntil + Delay +
+// extra, and takes every datagram whose delivery instant has passed,
+// then hands that batch to deliver outside the lock and sleeps until the
+// next instant. Deadlines are absolute and anchored at arrival, so a late
+// wake delays individual deliveries but never lowers the long-run rate.
+//
+// deliver owns each buffer it is handed and must release it.
+type link struct {
+	cfg     LinkConfig
+	deliver func(d *dgram, to net.Addr)
+	start   time.Time     // link creation; anchors the fault schedule
+	wake    chan struct{} // one slot: send and close cut run's sleep short
+	done    chan struct{} // closed when run returns
+
+	mu        sync.Mutex
+	bands     [maxPriority + 1]ring[queued] //pelsvet:guards mu
+	waiting   int                           //pelsvet:guards mu — datagrams across bands
+	bytes     int                           //pelsvet:guards mu — their total size
+	seq       uint64                        //pelsvet:guards mu — last arrival sequence number
+	busyUntil time.Time                     //pelsvet:guards mu — end of the last started transmission
+	flight    ring[outgoing]                //pelsvet:guards mu — started, sorted by delivery instant
+	rng       *rand.Rand                    //pelsvet:guards mu
+	stats     LinkStats                     //pelsvet:guards mu
+	closed    bool                          //pelsvet:guards mu
+}
+
+func newLink(cfg LinkConfig, deliver func(d *dgram, to net.Addr)) *link {
+	l := initLink(cfg, deliver)
+	go l.run()
+	return l
+}
+
+// initLink builds a link without starting its goroutine, so tests can
+// step the queue on an injected clock.
+func initLink(cfg LinkConfig, deliver func(d *dgram, to net.Addr)) *link {
 	if cfg.QueueBytes <= 0 {
 		cfg.QueueBytes = DefaultQueueBytes
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	l := &link{
+	return &link{
 		cfg:     cfg,
 		deliver: deliver,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		start:   cfg.Now(),
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
-	l.cond = sync.NewCond(&l.mu)
-	l.outCond = sync.NewCond(&l.outMu)
-	l.wg.Add(2)
-	go l.serialize()
-	go l.propagate()
-	return l
 }
 
 // send offers one datagram to the link. The buffer is copied, so callers
 // may reuse b immediately. to is carried through to the deliver callback.
+//
+//pelsvet:noalloc
 func (l *link) send(b []byte, to net.Addr) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -151,71 +224,225 @@ func (l *link) send(b []byte, to net.Addr) {
 		l.stats.RandomDrops++
 		return
 	}
-	c := make([]byte, len(b))
-	copy(c, b)
-	if l.cfg.Marker != nil {
-		if drop := l.cfg.Marker.Mark(c); drop {
+	d := newDgram(b)
+	q := queued{d: d, to: to, at: l.cfg.Now()}
+	if m := l.cfg.Marker; m != nil {
+		if drop := m.Mark(d.b); drop {
 			l.stats.MarkerDrops++
+			d.release()
 			return
 		}
-	}
-	q := queued{b: c, to: to, at: l.cfg.Now()}
-	if l.cfg.Marker != nil {
-		q.prio = l.cfg.Marker.Priority(c)
+		q.prio = clampPriority(m.Priority(d.b))
 	}
 	if l.cfg.Faults != nil {
 		// After marking: the router stamps before the wire damages, so
 		// corruption cannot be healed by a later stamp and a stripped
 		// label stays stripped.
-		d := l.cfg.Faults.Filter(q.at.Sub(l.start), fault.Packet{Size: len(c), Class: classify(c)})
-		if d.Drop {
+		fd := l.cfg.Faults.Filter(q.at.Sub(l.start), fault.Packet{Size: len(d.b), Class: classify(d.b)})
+		if fd.Drop {
 			l.stats.FaultDrops++
+			d.release()
 			return
 		}
-		if d.StripFeedback {
-			_ = ClearFeedback(c) // non-PELS datagrams have nothing to strip
+		if fd.StripFeedback {
+			_ = ClearFeedback(d.b) // non-PELS datagrams have nothing to strip
 		}
-		if d.Corrupt {
-			fault.Scramble(c, d.Bits)
+		if fd.Corrupt {
+			fault.Scramble(d.b, fd.Bits)
 		}
-		q.extra = d.ExtraDelay
-		if d.Duplicate {
+		q.extra = fd.ExtraDelay
+		if fd.Duplicate {
 			dup := q
-			dup.b = append([]byte(nil), c...)
+			dup.d = newDgram(d.b)
 			l.enqueueLocked(dup)
 		}
 	}
 	l.enqueueLocked(q)
 }
 
+// clampPriority folds a Marker rank into the bands a link keeps.
+func clampPriority(p int) int {
+	if p < 0 {
+		return 0
+	}
+	if p > maxPriority {
+		return maxPriority
+	}
+	return p
+}
+
 // enqueueLocked admits q to the bounded queue, evicting to make room.
 // Callers hold l.mu.
+//
+//pelsvet:noalloc
 func (l *link) enqueueLocked(q queued) {
-	// Make room: evict from the least important end first. Scanning from
-	// the tail prefers dropping the newest datagram among equals, the
-	// closest live analogue of tail drop within a priority class. If the
-	// arrival itself is least important, it is the one dropped.
-	for l.bytes+len(q.b) > l.cfg.QueueBytes && len(l.queue) > 0 {
-		worst, worstIdx := q.prio, -1
-		for i := len(l.queue) - 1; i >= 0; i-- {
-			if l.queue[i].prio > worst {
-				worst, worstIdx = l.queue[i].prio, i
-			}
+	// Make room: evict the newest datagram of the worst band strictly
+	// worse than the arrival — tail drop within a priority class. If no
+	// queued datagram ranks below the arrival, the arrival is dropped.
+	size := len(q.d.b)
+	for l.bytes+size > l.cfg.QueueBytes && l.waiting > 0 {
+		w := maxPriority
+		for l.bands[w].n == 0 {
+			w--
 		}
-		if worstIdx < 0 {
+		if w <= q.prio {
 			l.stats.OverflowDrops++
-			return // arrival is the least important datagram present
+			q.d.release()
+			return
 		}
-		l.bytes -= len(l.queue[worstIdx].b)
-		l.queue = append(l.queue[:worstIdx], l.queue[worstIdx+1:]...)
+		ev := l.bands[w].popBack()
+		l.waiting--
+		l.bytes -= len(ev.d.b)
+		ev.d.release()
 		l.stats.OverflowDrops++
 	}
 	// If the queue is empty and the datagram alone exceeds it, admit it
 	// anyway so a tiny queue cannot starve the link forever.
-	l.queue = append(l.queue, q)
-	l.bytes += len(q.b)
+	wasEmpty := l.waiting == 0
+	l.seq++
+	q.seq = l.seq
+	l.bands[q.prio].push(q)
+	l.waiting++
+	l.bytes += size
 	l.stats.Enqueued++
-	l.cond.Signal()
+	// A non-empty queue already has run awake by its head's start
+	// instant, which no later arrival precedes; only a new head can move
+	// run's next instant earlier.
+	if wasEmpty {
+		l.kick()
+	}
+}
+
+// kick wakes run if it sleeps; a wake already pending is enough.
+func (l *link) kick() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// headBandLocked returns the band holding the oldest queued datagram.
+// Callers hold l.mu and have checked l.waiting > 0.
+func (l *link) headBandLocked() int {
+	best := -1
+	for p := range l.bands {
+		if l.bands[p].n > 0 && (best < 0 || l.bands[p].front().seq < l.bands[best].front().seq) {
+			best = p
+		}
+	}
+	return best
+}
+
+// startAtLocked is the instant the oldest queued datagram starts
+// transmitting: when it arrived, or when the wire frees up.
+func (l *link) startAtLocked(q *queued) time.Time {
+	if l.cfg.Bandwidth > 0 && l.busyUntil.After(q.at) {
+		return l.busyUntil
+	}
+	return q.at
+}
+
+// startDueLocked moves every queued datagram whose start instant is not
+// after now from the evictable queue onto the wire, stamping its
+// delivery instant. Callers hold l.mu.
+func (l *link) startDueLocked(now time.Time) {
+	for l.waiting > 0 {
+		band := &l.bands[l.headBandLocked()]
+		start := l.startAtLocked(band.front())
+		if start.After(now) {
+			return
+		}
+		q := band.popFront()
+		l.waiting--
+		l.bytes -= len(q.d.b)
+		l.busyUntil = start
+		if l.cfg.Bandwidth > 0 {
+			l.busyUntil = start.Add(l.cfg.Bandwidth.TransmissionTime(len(q.d.b)))
+		}
+		// Insert sorted by delivery instant (after equal instants): a
+		// fault-delayed datagram slots behind later traffic, which is
+		// what makes the delay a reordering.
+		insertSorted(&l.flight, outgoing{d: q.d, to: q.to, at: l.busyUntil.Add(l.cfg.Delay + q.extra)})
+	}
+}
+
+// takeDueLocked appends every datagram whose delivery instant is not
+// after now to batch and counts it delivered: once a reader holds the
+// datagram, the counter must already include it. Callers hold l.mu.
+func (l *link) takeDueLocked(now time.Time, batch []outgoing) []outgoing {
+	for l.flight.n > 0 && !l.flight.front().at.After(now) {
+		batch = append(batch, l.flight.popFront())
+	}
+	l.stats.Delivered += uint64(len(batch))
+	return batch
+}
+
+// nextLocked returns the earliest instant at which run has work: the
+// next delivery or the next transmission start. ok is false when the
+// link holds no datagram at all.
+func (l *link) nextLocked() (next time.Time, ok bool) {
+	if l.flight.n > 0 {
+		next, ok = l.flight.front().at, true
+	}
+	if l.waiting > 0 {
+		s := l.startAtLocked(l.bands[l.headBandLocked()].front())
+		if !ok || s.Before(next) {
+			next, ok = s, true
+		}
+	}
+	return next, ok
+}
+
+// run is the link's one goroutine: it releases due datagrams in batches
+// and sleeps on a single reusable timer until the next due instant, or
+// until send or close kicks it. It returns once the link is closed and
+// empty.
+func (l *link) run() {
+	defer close(l.done)
+	timer := time.NewTimer(time.Hour)
+	stopTimer(timer)
+	var batch []outgoing
+	for {
+		l.mu.Lock()
+		now := l.cfg.Now()
+		l.startDueLocked(now)
+		batch = l.takeDueLocked(now, batch[:0])
+		next, pending := l.nextLocked()
+		exit := l.closed && !pending
+		l.mu.Unlock()
+
+		for i := range batch {
+			l.deliver(batch[i].d, batch[i].to)
+			batch[i] = outgoing{} // drop references for the collector
+		}
+		if exit {
+			return
+		}
+		if !pending {
+			<-l.wake
+			continue
+		}
+		d := next.Sub(l.cfg.Now())
+		if d <= 0 {
+			continue
+		}
+		timer.Reset(d)
+		select {
+		case <-timer.C:
+		case <-l.wake:
+			stopTimer(timer)
+		}
+	}
+}
+
+// stopTimer stops t and empties its channel, so a Reset starts clean.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
 }
 
 // classify maps a datagram onto the traffic classes the fault injector
@@ -236,82 +463,12 @@ func classify(b []byte) fault.Class {
 	}
 }
 
-// serialize drains the queue at Bandwidth. Transmission deadlines are
-// anchored to datagram arrival times, never to the goroutine's wake-up
-// time: the wire is idle only while no datagram is queued, so sleep
-// overshoot delays individual deliveries but can never reduce long-run
-// throughput below the configured rate (oversleeping one datagram makes
-// the next deadlines already due, and they are sent back to back).
-func (l *link) serialize() {
-	defer l.wg.Done()
-	var busyUntil time.Time
-	for {
-		l.mu.Lock()
-		for len(l.queue) == 0 && !l.closed {
-			l.cond.Wait()
-		}
-		if len(l.queue) == 0 && l.closed {
-			l.mu.Unlock()
-			l.outMu.Lock()
-			l.outDone = true
-			l.outCond.Signal()
-			l.outMu.Unlock()
-			return
-		}
-		q := l.queue[0]
-		l.queue = l.queue[1:]
-		l.bytes -= len(q.b)
-		l.mu.Unlock()
-
-		if l.cfg.Bandwidth > 0 {
-			if busyUntil.Before(q.at) {
-				busyUntil = q.at // wire sat idle until this datagram arrived
-			}
-			busyUntil = busyUntil.Add(l.cfg.Bandwidth.TransmissionTime(len(q.b)))
-			sleepUntil(busyUntil)
-		} else {
-			busyUntil = q.at
-		}
-		o := outgoing{b: q.b, to: q.to, at: busyUntil.Add(l.cfg.Delay + q.extra)}
-		l.outMu.Lock()
-		// Insert sorted by delivery instant: a fault-delayed datagram slots
-		// behind later traffic, which is what makes the delay a reordering.
-		i := sort.Search(len(l.out), func(i int) bool { return l.out[i].at.After(o.at) })
-		l.out = append(l.out, outgoing{})
-		copy(l.out[i+1:], l.out[i:])
-		l.out[i] = o
-		l.outCond.Signal()
-		l.outMu.Unlock()
-	}
-}
-
-// propagate delivers serialized datagrams at their absolute delivery
-// instants. Without faults the delivery instants are monotone (busyUntil
-// is); a fault-injected extra delay breaks monotonicity deliberately, and
-// the sorted insert in serialize turns it into real reordering.
-func (l *link) propagate() {
-	defer l.wg.Done()
-	for {
-		l.outMu.Lock()
-		for len(l.out) == 0 && !l.outDone {
-			l.outCond.Wait()
-		}
-		if len(l.out) == 0 && l.outDone {
-			l.outMu.Unlock()
-			return
-		}
-		o := l.out[0]
-		l.out = l.out[1:]
-		l.outMu.Unlock()
-
-		sleepUntil(o.at)
-		// Count before delivering: once a reader holds the datagram, the
-		// counter must already include it.
-		l.mu.Lock()
-		l.stats.Delivered++
-		l.mu.Unlock()
-		l.deliver(o.b, o.to)
-	}
+// countWriteError records a delivered datagram the far end failed to
+// write.
+func (l *link) countWriteError() {
+	l.mu.Lock()
+	l.stats.WriteErrors++
+	l.mu.Unlock()
 }
 
 // Stats returns a snapshot of the link counters.
@@ -322,19 +479,76 @@ func (l *link) Stats() LinkStats {
 }
 
 // close stops accepting datagrams; queued ones still drain. wait blocks
-// until both pipeline goroutines exit.
+// until the link's goroutine exits.
 func (l *link) close() {
 	l.mu.Lock()
 	l.closed = true
-	l.cond.Broadcast()
 	l.mu.Unlock()
+	l.kick()
 }
 
-func (l *link) wait() { l.wg.Wait() }
+func (l *link) wait() { <-l.done }
 
-// sleepUntil sleeps until the absolute instant t (no-op if past).
-func sleepUntil(t time.Time) {
-	if d := time.Until(t); d > 0 {
-		time.Sleep(d)
+// ring is a FIFO with O(1) push and pop at both ends. Its backing array
+// only grows (to the next power of two), so a link in steady state never
+// allocates.
+type ring[T any] struct {
+	buf  []T // len(buf) is 0 or a power of two
+	head int
+	n    int
+}
+
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *ring[T]) front() *T { return r.at(0) }
+
+//pelsvet:noalloc
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	*r.at(r.n) = v
+	r.n++
+}
+
+//pelsvet:noalloc
+func (r *ring[T]) popFront() T {
+	var zero T
+	p := r.at(0)
+	v := *p
+	*p = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
+//pelsvet:noalloc
+func (r *ring[T]) popBack() T {
+	var zero T
+	p := r.at(r.n - 1)
+	v := *p
+	*p = zero
+	r.n--
+	return v
+}
+
+func (r *ring[T]) grow() {
+	buf := make([]T, max(8, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		buf[i] = *r.at(i)
+	}
+	r.buf, r.head = buf, 0
+}
+
+// insertSorted pushes o onto r and moves it ahead of every later
+// delivery instant; equal instants keep arrival order. Without fault
+// delays the instants are monotone and the insert is a plain push.
+//
+//pelsvet:noalloc
+func insertSorted(r *ring[outgoing], o outgoing) {
+	r.push(o)
+	for i := r.n - 1; i > 0 && r.at(i-1).at.After(o.at); i-- {
+		*r.at(i) = *r.at(i - 1)
+		*r.at(i - 1) = o
 	}
 }

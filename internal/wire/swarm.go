@@ -402,11 +402,15 @@ func (s *Swarm) send(idx int, h Header) {
 func (s *Swarm) readLoop(ctx context.Context, idx int) error {
 	conn := s.socks[idx]
 	buf := make([]byte, MaxDatagram+1)
+	// Cancellation moves the read deadline into the past, which wakes a
+	// blocked ReadFrom; reads themselves carry no deadline, so the loop
+	// neither polls nor arms a timer per datagram.
+	stop := context.AfterFunc(ctx, func() { _ = conn.SetReadDeadline(time.Unix(1, 0)) })
+	defer stop()
 	for {
 		if ctx.Err() != nil {
 			return nil
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
 		n, _, err := conn.ReadFrom(buf)
 		switch {
 		case err == nil:
